@@ -9,8 +9,7 @@ from .oracle import (NuisanceEstimate, RewardModel, TreatmentEffectModel,
                      cross_fit_mu, empirical_rloss, estimation_rate, fit_rloss,
                      fit_rloss_lasso, fit_squared_error, fit_squared_error_lasso,
                      zero_model)
-from .policy import (ALGORITHMS, Policy, SafetyMonitor, check_and_choose_safe,
-                     gamma_schedule, igw_kernel)
+from .policy import ALGORITHMS, Policy, SafetyMonitor, gamma_schedule, igw_kernel
 from .validation import (FiniteInstance, exact_rloss_risk, excess_rloss_risk,
                          excess_risk_identity_gap, gap_identity_value,
                          mc_excess_risk, misspec_bound_check, squared_error_risk)

@@ -8,20 +8,20 @@ Anything malformed raises ConfigError, which the CLI maps to exit code 2.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, get_type_hints
 
-from .core import DOUBLING, EXPLICIT, FIXED_LENGTH, EpochSchedule
-from .environments import SCENARIOS, EnvironmentSpec
-from .policy import ALGORITHMS
+from .core import DOUBLING, EpochSchedule
+from .environments import EnvironmentSpec, reward_bounds
+from .policy import Policy
 
 
 class ConfigError(Exception):
     pass
 
 
-# Generous per-scenario reward envelopes: mean-reward extremes plus noise
-# margin.  Overridable via [policy] r_lo / r_hi.
+# Declared reward ranges, overridable via [policy] r_lo / r_hi; validate()
+# checks each contains reward_bounds.  The monitor's Hoeffding width uses them.
 DEFAULT_REWARD_RANGE = {
     "lin_lin": (-0.5, 2.5),
     "lin_const": (-0.5, 4.5),
@@ -77,43 +77,32 @@ class RunConfig:
                                horizon=self.horizon, seed=seed,
                                amplitude=self.amplitude, period=self.period)
 
+    def policy(self, seed: int, keep_fit_inputs: bool = False) -> Policy:
+        return Policy(self.algorithm, self.d, self.num_actions, self.schedule(),
+                      self.delta, seed=seed, ridge_scale=self.ridge_scale,
+                      num_folds=self.num_folds, rate_const=self.rate_const,
+                      lasso_const=self.lasso_const, n_min=self.n_min,
+                      reward_range=self.reward_range(), keep_fit_inputs=keep_fit_inputs)
+
     def validate(self) -> "RunConfig":
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be nonnegative")
-        if self.d < 1 or self.num_actions < 2:
-            raise ConfigError("need d >= 1 and at least two actions")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError("delta must lie in (0, 1)")
+        """Build what a run builds, so their checks apply; then check the run."""
         if not self.seeds:
             raise ConfigError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
         try:
-            sched = self.schedule()
+            spec = self.env_spec(self.seeds[0])
+            self.policy(self.seeds[0])
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        if not sched.covers(self.horizon):
+        if not self.schedule().covers(self.horizon):
             raise ConfigError("explicit schedule does not cover the horizon")
         lo, hi = self.reward_range()
-        if not hi > lo:
-            raise ConfigError("reward range must be nondegenerate")
+        env_lo, env_hi = reward_bounds(spec)
+        if not (lo <= env_lo and env_hi <= hi):
+            raise ConfigError(f"reward range {(lo, hi)} must contain {(env_lo, env_hi)}")
         return self
 
-
-_SECTIONS = {
-    "env": {"scenario": str, "d": int, "num_actions": int, "sigma": float,
-            "horizon": int, "amplitude": float, "period": float},
-    "schedule": {"kind": str, "base": int, "boundaries": "int_list"},
-    "oracle": {"ridge_scale": float, "num_folds": int, "rate_const": float,
-               "lasso_const": float},
-    "policy": {"algorithm": str, "delta": float, "n_min": int,
-               "r_lo": float, "r_hi": float},
-    "run": {"seeds": "int_list", "output_dir": str},
-}
 
 _FIELD_NAME = {
     ("env", "scenario"): "scenario", ("env", "d"): "d",
@@ -130,18 +119,21 @@ _FIELD_NAME = {
     ("run", "seeds"): "seeds", ("run", "output_dir"): "output_dir",
 }
 
+# A key's type is the annotation of the RunConfig field it sets.
+_TYPES = get_type_hints(RunConfig)
+
 
 def _convert(section: str, key: str, raw: str):
-    spec = _SECTIONS.get(section)
-    if spec is None:
-        raise ConfigError(f"unknown section [{section}]")
-    typ = spec.get(key)
-    if typ is None:
+    name = _FIELD_NAME.get((section, key))
+    if name is None:
         raise ConfigError(f"unknown key {section}.{key}")
+    typ = _TYPES[name]
     raw = raw.strip()
     try:
-        if typ == "int_list":
+        if typ == Tuple[int, ...]:
             return tuple(int(v) for v in raw.split(",") if v.strip())
+        if typ == Optional[float]:
+            return float(raw)
         return typ(raw)
     except ValueError as e:
         raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from e

@@ -53,9 +53,10 @@ class ActionDistribution:
         p = np.asarray(probs, dtype=float)
         if p.ndim != 1 or p.size < 1:
             raise ValueError("probs must be a 1-d vector")
-        if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
+        # Positive conditions, so that a NaN entry fails them.
+        if not (p.min() >= -1e-12 and p.max() <= 1 + 1e-12):
             raise ValueError(f"probabilities outside [0,1]: {p}")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         self.probs = p
 

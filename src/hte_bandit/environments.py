@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,11 +46,11 @@ class EnvironmentSpec:
             raise ValueError("context dimension must be positive")
         if self.num_actions < 2:
             raise ValueError("need at least two actions")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError("noise scale must be nonnegative")
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        if self.scenario == "nonstationary" and self.period <= 0:
+        if self.scenario == "nonstationary" and not self.period > 0:
             raise ValueError("period must be positive")
 
 
@@ -159,6 +159,21 @@ class Environment:
         x = self.sample_context(rng_context)
         return Round(t=t, context=x, mean_rewards=self.mean_rewards(x, t),
                      noise=self.sample_noise(rng_noise))
+
+
+def reward_bounds(spec: EnvironmentSpec) -> Tuple[float, float]:
+    """Interval holding every realized reward: the mean-reward extremes of the
+    formulas above (|<theta, x>| <= 1, u in [0, 1]) widened by the noise
+    half-width sqrt(3) sigma."""
+    lo, hi = {
+        "lin_lin": (0.0, 2.0),
+        "lin_const": (0.0, 4.0),
+        "step_lin": (-2.0, 2.0),
+        "perturbed": (-3.0 - math.sin(1.0), 2.0 + math.sin(1.0)),
+        "nonstationary": (-abs(spec.amplitude), 4.0 + abs(spec.amplitude)),
+    }[spec.scenario]
+    half_width = math.sqrt(3.0) * spec.sigma
+    return lo - half_width, hi + half_width
 
 
 def build_environment(spec: EnvironmentSpec) -> Environment:

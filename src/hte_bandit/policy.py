@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (ActionDistribution, EpochSchedule, FeatureMap, LoggedSample,
                    arm_block_map, shared_intercept_map)
-from .oracle import (LinearModel, cross_fit_mu, empirical_rloss, estimation_rate,
+from .oracle import (LinearModel, cross_fit_mu, estimation_rate,
                      fit_rloss, fit_rloss_lasso, fit_squared_error,
                      fit_squared_error_lasso, zero_model)
 
@@ -46,12 +46,12 @@ def igw_kernel(scores: np.ndarray, gamma: float) -> ActionDistribution:
     s = np.asarray(scores, dtype=float)
     if s.ndim != 1 or s.size < 2:
         raise ValueError("scores must be a vector over at least two actions")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    if not (np.isfinite(gamma) and gamma > 0):
+    if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError("gamma must be a positive finite real")
     K = s.size
-    ahat = int(np.argmax(s))
+    ahat = int(s.argmax())
     p = 1.0 / (K + gamma * (s[ahat] - s))
     p[ahat] = 0.0
     p[ahat] = 1.0 - p.sum()
@@ -89,8 +89,8 @@ class SafetyMonitor:
     """
 
     def __init__(self, r_lo: float, r_hi: float, n_min: int = 32):
-        if not r_hi > r_lo:
-            raise ValueError("reward range must be nondegenerate")
+        if not (r_hi > r_lo and math.isfinite(r_hi - r_lo)):
+            raise ValueError("reward range must be finite and nondegenerate")
         if n_min < 1:
             raise ValueError("n_min must be positive")
         self.r_lo = r_lo
@@ -136,12 +136,6 @@ class SafetyMonitor:
         return True, 0
 
 
-def check_and_choose_safe(monitor: SafetyMonitor, t: int, current_epoch: int,
-                          delta: float) -> Tuple[bool, int]:
-    """Misspecification test over the monitor's history; see SafetyMonitor."""
-    return monitor.check(t, current_epoch, delta)
-
-
 @dataclass
 class FitRecord:
     """Audit record of one epoch-boundary refit."""
@@ -179,6 +173,12 @@ class Policy:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         if not 0.0 < delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
+        if num_folds < 2:
+            raise ValueError("need at least two cross-fitting folds")
+        if not (ridge_scale >= 0 and lasso_const >= 0):
+            raise ValueError("ridge_scale and lasso_const must be nonnegative")
+        if not rate_const > 0:
+            raise ValueError("rate_const must be positive")
         self.algorithm = algorithm
         self.num_actions = num_actions
         self.schedule = schedule
@@ -201,9 +201,9 @@ class Policy:
             self.feature_map = shared_intercept_map(d, num_actions)
 
         self.epoch = 1
-        self.gamma = 1.0
-        self.model: LinearModel = zero_model(self.feature_map)
-        self.kernels: Dict[int, Tuple[LinearModel, float]] = {1: (self.model, 1.0)}
+        # Deployed (model, gamma) per epoch; while safe, epoch m plays kernels[m].
+        self.kernels: Dict[int, Tuple[LinearModel, float]] = {
+            1: (zero_model(self.feature_map), 1.0)}
         self.safe = True
         self.safe_epoch = 0
         self.monitor = SafetyMonitor(reward_range[0], reward_range[1], n_min)
@@ -223,10 +223,7 @@ class Policy:
             scores = np.zeros(self.num_actions)
             gamma_used = 1.0
         else:
-            if self.safe:
-                model, gamma_used = self.model, self.gamma
-            else:
-                model, gamma_used = self.kernels[self.safe_epoch]
+            model, gamma_used = self.kernels[self.epoch if self.safe else self.safe_epoch]
             scores = model.predict(context)
             dist = igw_kernel(scores, gamma_used)
         action = dist.sample(rng)
@@ -249,7 +246,7 @@ class Policy:
         self.buffer.append(LoggedSample(context=np.array(context, dtype=float),
                                         action=action, propensities=dist,
                                         reward=reward))
-        ok, m_hat = check_and_choose_safe(self.monitor, t, self.epoch, self.delta)
+        ok, m_hat = self.monitor.check(t, self.epoch, self.delta)
         if not ok:
             self.safe = False
             self.safe_epoch = m_hat
@@ -262,7 +259,7 @@ class Policy:
             self._refit(m)
         elif self.algorithm != "uniform" and self.safe:
             # Empty epoch: carry the old kernel forward unchanged.
-            self.kernels[m + 1] = (self.model, self.gamma)
+            self.kernels[m + 1] = self.kernels[m]
         self.buffer = []
         self.epoch = m + 1
 
@@ -295,8 +292,6 @@ class Policy:
         rate_fn = lambda nn, zeta: estimation_rate(nn, zeta, dim, self.rate_const)
         gamma = gamma_schedule(n, m + 1, self.delta_prime, self.num_actions, rate_fn)
 
-        self.model = model
-        self.gamma = gamma
         self.kernels[m + 1] = (model, gamma)
         self.fits.append(FitRecord(
             data_epoch=m, n=n, sparsity=model.sparsity,
@@ -304,8 +299,3 @@ class Policy:
             gamma_next=gamma, data_hash=_hash_batch(batch),
             nuisance_fallback=fallback,
             samples=list(batch) if self.keep_fit_inputs else None))
-
-    # -- diagnostics --------------------------------------------------------
-
-    def holdout_rloss(self, samples: List[LoggedSample]) -> float:
-        return empirical_rloss(self.model, samples)

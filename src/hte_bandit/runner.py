@@ -18,10 +18,10 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .core import (STREAM_ACTION, STREAM_CONTEXT, STREAM_NOISE, rng_stream)
 from .environments import build_environment, expected_regret
-from .policy import FitRecord, Policy
+from .policy import FitRecord
 from .svg import Series, write_chart
 
 RUN_HEADER = "t,epoch,safe,gamma,action,propensity,reward,expected_regret,cum_expected_regret"
@@ -76,12 +76,7 @@ def run_single(config: RunConfig, seed: int,
                keep_fit_inputs: bool = False) -> RunResult:
     """One seeded trajectory of the configured algorithm."""
     env = build_environment(config.env_spec(seed))
-    policy = Policy(config.algorithm, config.d, config.num_actions,
-                    config.schedule(), config.delta, seed=seed,
-                    ridge_scale=config.ridge_scale, num_folds=config.num_folds,
-                    rate_const=config.rate_const, lasso_const=config.lasso_const,
-                    n_min=config.n_min, reward_range=config.reward_range(),
-                    keep_fit_inputs=keep_fit_inputs)
+    policy = config.policy(seed, keep_fit_inputs)
     rng_ctx = rng_stream(seed, STREAM_CONTEXT)
     rng_noise = rng_stream(seed, STREAM_NOISE)
     rng_act = rng_stream(seed, STREAM_ACTION)
@@ -144,7 +139,10 @@ def _worker(args) -> RunResult:
 
 def _worker_count(num_seeds: int) -> int:
     cap = os.environ.get("HTE_BANDIT_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigError(f"HTE_BANDIT_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(num_seeds, os.cpu_count() or 1, limit))
 
 
@@ -208,11 +206,12 @@ def compare(config: RunConfig, algorithms: Sequence[str],
     if len(algorithms) < 1:
         raise ValueError("need at least one algorithm")
     out = Path(config.output_dir)
-    results: Dict[str, ExperimentResult] = {}
-    for algo in algorithms:
-        sub = replace(config, algorithm=algo,
-                      output_dir=str(out / algo) if write else config.output_dir)
-        results[algo] = run_experiment(sub, write=write)
+    # Validate every configuration before any run starts or writes a file.
+    subs = [replace(config, algorithm=algo,
+                    output_dir=str(out / algo) if write else config.output_dir
+                    ).validate() for algo in algorithms]
+    results: Dict[str, ExperimentResult] = {
+        sub.algorithm: run_experiment(sub, write=write) for sub in subs}
 
     if write:
         out.mkdir(parents=True, exist_ok=True)

@@ -60,6 +60,15 @@ def test_config_file_and_overrides(tmp_path):
     ["run.seeds=1,1"],
     ["policy.delta=1.5"],
     ["policy.r_lo=2.0", "policy.r_hi=-2.0"],
+    ["oracle.rate_const=0"],
+    ["oracle.ridge_scale=-1"],
+    ["policy.n_min=0"],
+    ["env.sigma=-1"],
+    ["env.scenario=nonstationary", "env.period=0"],
+    ["oracle.num_folds=1"],
+    ["policy.algorithm=mod_igw", "oracle.lasso_const=-1"],
+    ["env.sigma=2"],                          # rewards leave (-0.5, 2.5)
+    ["policy.r_lo=-inf"],
 ])
 def test_bad_config_raises(overrides):
     with pytest.raises(ConfigError):
@@ -70,6 +79,21 @@ def test_cli_maps_config_error_to_exit_2(capsys):
     code = cli.main(["run", "--set", "env.scenario=bogus"])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads,args", [
+    ("abc", ["run"]),
+    (None, ["compare", "--algos", "uniform,thompson"]),
+])
+def test_cli_rejects_before_writing(tmp_path, monkeypatch, capsys, threads, args):
+    if threads is not None:
+        monkeypatch.setenv("HTE_BANDIT_THREADS", threads)
+    out = tmp_path / "out"
+    code = cli.main(args + ["--set", "env.horizon=50", "--set", "env.d=3",
+                            "--set", f"run.output_dir={out}"])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def uniform_args(out_dir, horizon=50, seeds="1,2", d=4):
@@ -136,6 +160,15 @@ def test_repeat_invocations_are_byte_identical(tmp_path):
     assert cli.main(hte_args(b)) == 0
     for name in ("run_1.csv", "run_2.csv", "curve.csv", "curve.svg"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch):
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HTE_BANDIT_THREADS", threads)
+        assert cli.main(hte_args(tmp_path / threads)) == 0
+    for name in ("run_1.csv", "run_2.csv", "curve.csv"):
+        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name,
+                           shallow=False), name
 
 
 def test_compare_ratio_and_artifacts(tmp_path, capsys):

@@ -126,6 +126,9 @@ def test_distribution_validation():
         ActionDistribution([0.5, 0.4])          # does not sum to 1
     with pytest.raises(ValueError):
         ActionDistribution([1.5, -0.5])         # outside [0, 1]
+    for probs in ([np.nan, np.nan], [np.nan, 1.0]):
+        with pytest.raises(ValueError):
+            ActionDistribution(probs)
     d = ActionDistribution([0.25, 0.75])
     assert d.prob(1) == 0.25 and d.prob(2) == 0.75
     assert d.num_actions == 2

@@ -13,6 +13,7 @@ from hte_bandit.environments import (
     build_environment,
     expected_regret,
     optimal_action,
+    reward_bounds,
 )
 
 
@@ -89,6 +90,30 @@ def test_noise_law():
     assert draws.var() == pytest.approx(0.01, abs=5e-4)
     silent = build_environment(spec_for("lin_lin", sigma=0.0))
     assert all(silent.sample_noise(rng) == 0.0 for _ in range(10))
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_rewards_lie_within_reward_bounds(scenario):
+    """Every sampled mean reward lies in the noiseless bounds and every
+    realized reward in the noisy ones; on lin_lin the bounds are reached."""
+    means, rewards = [], []
+    for seed in range(1, 11):
+        spec = spec_for(scenario, d=2, K=3, seed=seed, sigma=0.3,
+                        amplitude=1.5, period=7.0)
+        env = build_environment(spec)
+        rc, rn = rng_stream(seed, 0), rng_stream(seed, 1)
+        for t in range(1, 501):
+            rnd = env.sample_round(rc, rn, t)
+            means.append(rnd.mean_rewards)
+            rewards.append(rnd.mean_rewards + rnd.noise)
+    means, rewards = np.concatenate(means), np.concatenate(rewards)
+    lo, hi = reward_bounds(spec)
+    assert lo <= rewards.min() and rewards.max() <= hi
+    mean_lo, mean_hi = reward_bounds(spec_for(scenario, sigma=0.0,
+                                              amplitude=1.5, period=7.0))
+    assert mean_lo - 1e-12 <= means.min() and means.max() <= mean_hi + 1e-12
+    if scenario == "lin_lin":
+        assert means.min() <= mean_lo + 1e-3 and means.max() >= mean_hi - 1e-3
 
 
 def test_reward_decomposition_gap_structure():
