@@ -1,9 +1,9 @@
 """Contextual bandit simulator with treatment-effect regression oracles."""
 
 from .core import (ActionDistribution, EpochSchedule, FeatureMap, LoggedSample,
-                   SeededRng, arm_block_map, custom_map, rng_stream,
+                   SampleBatch, SeededRng, arm_block_map, custom_map, rng_stream,
                    shared_intercept_map)
-from .environments import (Environment, EnvironmentSpec, GroundTruth, Round,
+from .environments import (Environment, EnvironmentSpec, GroundTruth, Round, Rounds,
                            build_environment, expected_regret, optimal_action)
 from .oracle import (NuisanceEstimate, RewardModel, TreatmentEffectModel,
                      cross_fit_mu, empirical_rloss, estimation_rate, fit_rloss,

@@ -8,8 +8,9 @@ position a-1.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -60,6 +61,15 @@ class ActionDistribution:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         self.probs = p
 
+    @classmethod
+    def trusted(cls, probs: np.ndarray) -> "ActionDistribution":
+        """Wrap a float vector already known to pass the checks above, such
+        as an igw_kernel row (entries in (0, 1], sum within K ulps of 1, as
+        the kernel's tests assert) or a logged propensity row."""
+        dist = object.__new__(cls)
+        dist.probs = probs
+        return dist
+
     @property
     def num_actions(self) -> int:
         return self.probs.size
@@ -69,16 +79,28 @@ class ActionDistribution:
 
     def sample(self, rng: np.random.Generator) -> int:
         """Inverse-CDF draw; returns an action in 1..K."""
-        u = rng.random()
-        c = 0.0
-        for i, pi in enumerate(self.probs):
-            c += pi
-            if u < c:
-                return i + 1
-        return self.probs.size  # guard against c summing to 1 - eps
+        return int(inverse_cdf(self.probs[None, :], np.array([rng.random()]))[0])
 
     def __repr__(self):
         return f"ActionDistribution({self.probs.tolist()})"
+
+
+def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise inverse-CDF draw from an (n, K) block of distributions.
+
+    Row i gets the first action whose running sum of probs[i] exceeds u[i];
+    a u at or above the last running sum (which may round to 1 - eps) gets
+    action K.  Returns actions in 1..K.
+    """
+    above = np.cumsum(probs, axis=1) > u[:, None]
+    return np.where(above.any(axis=1), above.argmax(axis=1) + 1, probs.shape[1])
+
+
+def row_products(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """W @ x_i for every row x_i of X, as the stacked product W @ X[:, :, None]:
+    numpy makes one BLAS gemv call per row, the call a single vector makes,
+    so row i equals W @ X[i] bit for bit (X @ W.T, one gemm, does not)."""
+    return (W @ X[:, :, None])[:, :, 0]
 
 
 # Feature map kinds.
@@ -157,15 +179,22 @@ class FeatureMap:
         return np.stack([self.featurize(x, a) for a in range(1, self.num_actions + 1)])
 
     def scores(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """All K inner products <theta, phi(x, a)> without materializing phi."""
+        """All K inner products <theta, phi(x, a)> without materializing phi:
+        a (K,) vector for one context and, for the built-in kinds, an (n, K)
+        block for n stacked contexts, each row equal to its one-context
+        scores bit for bit (see row_products).
+        """
         x = np.asarray(x, dtype=float)
         K, d = self.num_actions, self.raw_dim
+        if self.kind == CUSTOM:
+            return self.all_actions(x) @ theta
+        X = x[None, :] if x.ndim == 1 else x
         if self.kind == ARM_BLOCK:
             blocks = theta.reshape(K, d + 1)
-            return blocks[:, :d] @ x + blocks[:, d]
-        if self.kind == SHARED_INTERCEPT:
-            return theta[: K * d].reshape(K, d) @ x + theta[-1]
-        return self.all_actions(x) @ theta
+            S = row_products(blocks[:, :d], X) + blocks[:, d]
+        else:  # SHARED_INTERCEPT
+            S = row_products(theta[: K * d].reshape(K, d), X) + theta[-1]
+        return S[0] if x.ndim == 1 else S
 
     def intercept_indices(self) -> Tuple[int, ...]:
         """Coordinates left unpenalized by the lasso fits."""
@@ -208,6 +237,63 @@ class LoggedSample:
     propensities: ActionDistribution
     reward: float
     mu_hat: Optional[float] = None
+
+
+class SampleBatch(Sequence):
+    """Logged rounds as column arrays: contexts X (n, d), actions A (n,) in
+    1..K, propensity rows P (n, K) (each a distribution), rewards r (n,)
+    and, once cross-fitting has run, nuisance values mu (n,).
+
+    Indexing and iteration yield LoggedSample rows, and a slice yields a
+    batch of those rows, so a batch serves wherever a sample list does;
+    SampleBatch.of turns a sample list into columns.
+    """
+
+    __slots__ = ("X", "A", "P", "r", "mu")
+
+    def __init__(self, X: np.ndarray, A: np.ndarray, P: np.ndarray,
+                 r: np.ndarray, mu: Optional[np.ndarray] = None):
+        self.X, self.A, self.P, self.r, self.mu = X, A, P, r, mu
+
+    @classmethod
+    def of(cls, samples: Sequence[LoggedSample]) -> "SampleBatch":
+        """The batch itself, or the columns of a LoggedSample sequence
+        (mu is set only when every sample carries mu_hat)."""
+        if isinstance(samples, SampleBatch):
+            return samples
+        mus = [s.mu_hat for s in samples]
+        return cls(np.array([s.context for s in samples], dtype=float),
+                   np.array([s.action for s in samples], dtype=np.int64),
+                   np.array([s.propensities.probs for s in samples]),
+                   np.array([s.reward for s in samples], dtype=float),
+                   None if None in mus else np.array(mus, dtype=float))
+
+    @classmethod
+    def concat(cls, parts: Sequence["SampleBatch"]) -> "SampleBatch":
+        """Rows of every part, in order (parts are epoch-buffer pieces,
+        which carry no mu)."""
+        if len(parts) == 1:
+            return parts[0]
+        return cls(*(np.concatenate([getattr(b, f) for b in parts])
+                     for f in ("X", "A", "P", "r")))
+
+    def with_mu(self, mu: np.ndarray) -> "SampleBatch":
+        return SampleBatch(self.X, self.A, self.P, self.r, mu)
+
+    def __len__(self) -> int:
+        return self.r.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return SampleBatch(self.X[i], self.A[i], self.P[i], self.r[i],
+                               None if self.mu is None else self.mu[i])
+        return LoggedSample(context=self.X[i], action=int(self.A[i]),
+                            propensities=ActionDistribution.trusted(self.P[i]),
+                            reward=float(self.r[i]),
+                            mu_hat=None if self.mu is None else float(self.mu[i]))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 DOUBLING = "doubling"

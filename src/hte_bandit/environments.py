@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import STREAM_PARAMS, rng_stream
+from .core import STREAM_PARAMS, rng_stream, row_products
 
 SCENARIOS = ("lin_lin", "lin_const", "step_lin", "perturbed", "nonstationary")
 
@@ -76,16 +76,62 @@ class Round:
         return float(self.mean_rewards[action - 1] + self.noise)
 
 
-def _unit_sphere(rng: np.random.Generator, d: int) -> np.ndarray:
-    while True:
-        v = rng.standard_normal(d)
-        n = np.linalg.norm(v)
-        if n > 1e-12:
-            return v / n
+@dataclass(frozen=True)
+class Rounds:
+    """The draws of rounds t0, t0 + 1, ..., t0 + n - 1 as column arrays."""
+
+    t0: int
+    contexts: np.ndarray       # (n, d)
+    mean_rewards: np.ndarray   # (n, K)
+    noise: np.ndarray          # (n,)
+
+    def tail(self, i: int) -> "Rounds":
+        """The rounds from row i on."""
+        return Rounds(self.t0 + i, self.contexts[i:], self.mean_rewards[i:],
+                      self.noise[i:])
+
+    def row(self, i: int) -> Round:
+        return Round(t=self.t0 + i, context=self.contexts[i],
+                     mean_rewards=self.mean_rewards[i], noise=float(self.noise[i]))
+
+    def _chosen(self, actions: np.ndarray) -> np.ndarray:
+        return self.mean_rewards[np.arange(actions.shape[0]), actions - 1]
+
+    def rewards(self, actions: np.ndarray) -> np.ndarray:
+        """Realized rewards of actions (1..K) on the first len(actions) rows."""
+        return self._chosen(actions) + self.noise[:actions.shape[0]]
+
+    def expected_regrets(self, actions: np.ndarray) -> np.ndarray:
+        """Mean-reward shortfalls of actions on the first len(actions) rows."""
+        n = actions.shape[0]
+        return self.mean_rewards[:n].max(axis=1) - self._chosen(actions)
+
+
+def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<x_i, v> per row as one BLAS dot call each, the call a single
+    vector makes, so each entry equals the one-row product bit for bit."""
+    return (X[:, None, :] @ v[:, None])[:, 0, 0]
+
+
+def _unit_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """n rows uniform on the unit sphere: each row is the next standard
+    normal d-vector of the stream whose norm exceeds 1e-12, normalized."""
+    V = rng.standard_normal((n, d))
+    norms = np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+    good = norms > 1e-12
+    if good.all():
+        V /= norms[:, None]
+        return V
+    kept = V[good] / norms[good, None]
+    return np.concatenate([kept, _unit_sphere(rng, n - kept.shape[0], d)])
 
 
 class Environment:
-    """A built scenario: ground truth frozen, per-round sampling exposed."""
+    """A built scenario: ground truth frozen, sampling of round blocks exposed.
+
+    Every method takes one context (d,) or a block of contexts (n, d); a
+    single context is the n = 1 case of the same code.
+    """
 
     def __init__(self, spec: EnvironmentSpec, truth: Optional[GroundTruth] = None):
         self.spec = spec
@@ -97,68 +143,85 @@ class Environment:
         s = spec.scenario
         # Draw order is fixed per scenario so seeds replay exactly.
         if s == "lin_lin":
-            thetas = np.stack([_unit_sphere(rng, d) for _ in range(K)])
-            self.truth = GroundTruth(thetas=thetas)
+            self.truth = GroundTruth(thetas=_unit_sphere(rng, K, d))
         elif s in ("lin_const", "nonstationary"):
             u = rng.uniform(0.0, 1.0, size=K)
-            theta = _unit_sphere(rng, d)
+            theta = _unit_sphere(rng, 1, d)[0]
             self.truth = GroundTruth(theta=theta, u=u)
         elif s == "step_lin":
             u = rng.uniform(0.0, 1.0, size=K)
-            thetas = np.stack([_unit_sphere(rng, d) for _ in range(K)])
-            self.truth = GroundTruth(thetas=thetas, u=u)
+            self.truth = GroundTruth(thetas=_unit_sphere(rng, K, d), u=u)
         else:  # perturbed: one theta set shared by effect and confounder
-            thetas = np.stack([_unit_sphere(rng, d) for _ in range(K)])
-            self.truth = GroundTruth(thetas=thetas)
+            self.truth = GroundTruth(thetas=_unit_sphere(rng, K, d))
 
     @property
     def num_actions(self) -> int:
         return self.spec.num_actions
 
     def g_star(self, x: np.ndarray) -> np.ndarray:
-        """Treatment-effect part g(x, .) as a (K,) vector."""
-        s, tr = self.spec.scenario, self.truth
-        K = self.spec.num_actions
-        if s == "lin_lin":
-            return 1.0 + tr.thetas @ x
-        if s in ("lin_const", "nonstationary", "step_lin"):
-            g = tr.u.copy()
-            g[0] += 1.0
-            return g
-        g = tr.thetas @ x
-        g = g + np.sin(g)
-        g[0] += 1.0
-        return g
-
-    def h_star(self, x: np.ndarray, t: int = 1) -> float:
+        """Treatment-effect part g(x, .): (K,) for one context, (n, K) for a block."""
+        X = np.asarray(x, dtype=float)
+        one = X.ndim == 1
+        if one:
+            X = X[None, :]
         s, tr = self.spec.scenario, self.truth
         if s == "lin_lin":
-            return 0.0
-        if s == "lin_const":
-            return 1.0 + float(tr.theta @ x)
-        if s == "nonstationary":
-            drift = self.spec.amplitude * math.sin(2.0 * math.pi * t / self.spec.period)
-            return 1.0 + float(tr.theta @ x) + drift
-        # step_lin / perturbed confounder
-        if x[0] <= 0.25:
-            return 0.0
-        return -float(np.max(1.0 + tr.thetas @ x))
+            g = 1.0 + row_products(tr.thetas, X)
+        elif s in ("lin_const", "nonstationary", "step_lin"):
+            g = np.empty((X.shape[0], tr.u.size))
+            g[:] = tr.u
+            g[:, 0] += 1.0
+        else:
+            g = row_products(tr.thetas, X)
+            g = g + np.sin(g)
+            g[:, 0] += 1.0
+        return g[0] if one else g
 
-    def mean_rewards(self, x: np.ndarray, t: int = 1) -> np.ndarray:
-        return self.g_star(x) + self.h_star(x, t)
+    def h_star(self, x: np.ndarray, t=1):
+        """Confounder h_t(x): a float for one context, (n,) for a block
+        (then t is one round or an (n,) array of rounds)."""
+        X = np.asarray(x, dtype=float)
+        one = X.ndim == 1
+        if one:
+            X = X[None, :]
+        s, tr = self.spec.scenario, self.truth
+        if s == "lin_lin":
+            h = np.zeros(X.shape[0])
+        elif s == "lin_const":
+            h = 1.0 + _row_dots(X, tr.theta)
+        elif s == "nonstationary":
+            # math.sin per round, as numpy's sin need not round alike.
+            angle = 2.0 * math.pi * np.broadcast_to(t, X.shape[:1]) / self.spec.period
+            drift = [self.spec.amplitude * math.sin(a) for a in angle.tolist()]
+            h = 1.0 + _row_dots(X, tr.theta) + np.array(drift)
+        else:  # step_lin / perturbed confounder
+            peak = (1.0 + row_products(tr.thetas, X)).max(axis=1)
+            h = np.where(X[:, 0] <= 0.25, 0.0, -peak)
+        return float(h[0]) if one else h
+
+    def mean_rewards(self, x: np.ndarray, t=1) -> np.ndarray:
+        h = self.h_star(x, t)
+        return self.g_star(x) + (h if np.ndim(x) == 1 else h[:, None])
 
     def sample_context(self, rng: np.random.Generator) -> np.ndarray:
-        return _unit_sphere(rng, self.spec.d)
+        return _unit_sphere(rng, 1, self.spec.d)[0]
 
-    def sample_noise(self, rng: np.random.Generator) -> float:
+    def sample_noise(self, rng: np.random.Generator, n: Optional[int] = None):
+        """One noise draw (n None) or an (n,) block of them."""
         # Centered uniform with variance sigma^2: width sqrt(12) sigma.
-        return math.sqrt(12.0) * self.spec.sigma * (rng.random() - 0.5)
+        return math.sqrt(12.0) * self.spec.sigma * (rng.random(n) - 0.5)
+
+    def sample_rounds(self, rng_context: np.random.Generator,
+                      rng_noise: np.random.Generator, t0: int, n: int) -> Rounds:
+        """Rounds t0 .. t0 + n - 1; the streams advance exactly as n
+        sample_round calls advance them."""
+        X = _unit_sphere(rng_context, n, self.spec.d)
+        t = np.arange(t0, t0 + n)
+        return Rounds(t0, X, self.mean_rewards(X, t), self.sample_noise(rng_noise, n))
 
     def sample_round(self, rng_context: np.random.Generator,
                      rng_noise: np.random.Generator, t: int = 1) -> Round:
-        x = self.sample_context(rng_context)
-        return Round(t=t, context=x, mean_rewards=self.mean_rewards(x, t),
-                     noise=self.sample_noise(rng_noise))
+        return self.sample_rounds(rng_context, rng_noise, t, 1).row(0)
 
 
 def reward_bounds(spec: EnvironmentSpec) -> Tuple[float, float]:

@@ -18,13 +18,14 @@ ridge regressions predicting each sample from the complement of its fold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 
-from .core import STREAM_FOLD, FeatureMap, LoggedSample, rng_stream
+from .core import (ARM_BLOCK, CUSTOM, SHARED_INTERCEPT, STREAM_FOLD, FeatureMap,
+                   LoggedSample, SampleBatch, rng_stream)
 
 ACTIVE_TOL = 1e-10        # |theta_j| above this counts as an active coefficient
 EIGEN_CLIP = 1e-12        # relative eigenvalue cutoff for the min-norm fallback
@@ -102,46 +103,47 @@ class NuisanceEstimate:
 
 def cross_fit_mu(samples: Sequence[LoggedSample], num_folds: int = 2,
                  ridge: float = 1e-6, reward_range: Optional[Tuple[float, float]] = None,
-                 fold_seed: int = 0) -> Tuple[NuisanceEstimate, List[LoggedSample]]:
+                 fold_seed: int = 0) -> Tuple[NuisanceEstimate, SampleBatch]:
     """Out-of-fold ridge estimates of the conditional mean reward.
 
     Each fold's model is ridge least squares of reward on [context; 1]
     trained on the complement of that fold; sample t is predicted by the
     model that never saw it.  Fold membership is a deterministic function
     of the sample index and fold_seed.  Predictions are clipped to
-    reward_range when given.
+    reward_range when given.  Returns the estimate and the batch with mu set.
 
     With fewer samples than folds the estimate degenerates to a constant
     (range midpoint, or the observed mean without a range) and the result
     is flagged via `fallback`.
     """
-    n = len(samples)
+    batch = SampleBatch.of(samples)
+    n = len(batch)
     if n == 0:
         raise ValueError("cannot cross-fit an empty batch")
     if num_folds < 2:
         raise ValueError("need at least two folds")
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    rewards = np.array([s.reward for s in samples])
+    rewards = batch.r
     if n < num_folds:
         mu0 = 0.5 * (reward_range[0] + reward_range[1]) if reward_range else float(rewards.mean())
         mu = np.full(n, mu0)
         est = NuisanceEstimate([], np.zeros(n, dtype=int), num_folds, mu, fallback=True)
-        return est, [replace(s, mu_hat=mu0) for s in samples]
+        return est, batch.with_mu(mu)
 
     perm = rng_stream(fold_seed, STREAM_FOLD).permutation(n)
     fold_of = perm % num_folds
-    d = samples[0].context.shape[0]
+    d = batch.X.shape[1]
     X = np.empty((n, d + 1))
-    for i, s in enumerate(samples):
-        X[i, :d] = s.context
-        X[i, d] = 1.0
+    X[:, :d] = batch.X
+    X[:, d] = 1.0
 
     mu = np.empty(n)
     fold_models = []
     eye = np.eye(d + 1)
     for k in range(num_folds):
         train = fold_of != k
+        # One bound array on both sides, so numpy takes the syrk path.
         Xt, rt = X[train], rewards[train]
         beta, _ = _solve_psd(Xt.T @ Xt + ridge * eye, Xt.T @ rt)
         fold_models.append(beta)
@@ -151,8 +153,39 @@ def cross_fit_mu(samples: Sequence[LoggedSample], num_folds: int = 2,
         np.clip(mu, reward_range[0], reward_range[1], out=mu)
 
     est = NuisanceEstimate(fold_models, fold_of, num_folds, mu)
-    out = [replace(s, mu_hat=float(mu[i])) for i, s in enumerate(samples)]
-    return est, out
+    return est, batch.with_mu(mu)
+
+
+def _check_columns(batch: SampleBatch, feature_map: FeatureMap) -> None:
+    if feature_map.kind == CUSTOM:
+        return
+    K = feature_map.num_actions
+    if batch.X.shape[1:] != (feature_map.raw_dim,):
+        raise ValueError(f"contexts have shape {batch.X.shape[1:]}, "
+                         f"expected ({feature_map.raw_dim},)")
+    if not np.all((batch.A >= 1) & (batch.A <= K)):
+        raise ValueError(f"actions outside 1..{K}")
+
+
+def _arm_block_residuals(X: np.ndarray, A: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Rows phi(x, a) - sum_b p(b) phi(x, b) of the arm-block map in closed
+    form, e_a kron [x; 1] minus p kron [x; 1], one arm block at a time.
+
+    The two products are rounded apart, as the row-by-row formula rounds
+    them; (e_a - p) kron [x; 1] would round differently.
+    """
+    n, d = X.shape
+    K = P.shape[1]
+    w = d + 1
+    Z = np.empty((n, K * w))
+    for k in range(K):
+        block = Z[:, k * w:k * w + d]
+        np.multiply(P[:, k, None], X, out=block)
+        chosen = A == k + 1
+        np.subtract(X, block, out=block, where=chosen[:, None])
+        np.subtract(0.0, block, out=block, where=~chosen[:, None])
+        Z[:, k * w + d] = np.where(chosen, 1.0 - P[:, k], 0.0 - P[:, k])
+    return Z
 
 
 def residualized_design(samples: Sequence[LoggedSample],
@@ -162,33 +195,48 @@ def residualized_design(samples: Sequence[LoggedSample],
     z_t = phi(x_t, a_t) - sum_a p_t(a) phi(x_t, a),  y_t = r_t - mu_hat_t.
     Requires cross-fitted mu_hat on every sample.
     """
-    n = len(samples)
+    batch = SampleBatch.of(samples)
+    n = len(batch)
     if n == 0:
         raise ValueError("empty sample batch")
-    p = feature_map.feature_dim
-    Z = np.empty((n, p))
-    y = np.empty(n)
-    for i, s in enumerate(samples):
-        if s.mu_hat is None:
-            raise ValueError("samples lack cross-fitted mu_hat")
-        phi = feature_map.all_actions(s.context)
-        Z[i] = phi[s.action - 1] - s.propensities.probs @ phi
-        y[i] = s.reward - s.mu_hat
-    return Z, y
+    if batch.mu is None:
+        raise ValueError("samples lack cross-fitted mu_hat")
+    _check_columns(batch, feature_map)
+    if feature_map.kind == ARM_BLOCK:
+        Z = _arm_block_residuals(batch.X, batch.A, batch.P)
+    else:
+        Z = np.empty((n, feature_map.feature_dim))
+        for i in range(n):
+            phi = feature_map.all_actions(batch.X[i])
+            Z[i] = phi[batch.A[i] - 1] - batch.P[i] @ phi
+    return Z, batch.r - batch.mu
 
 
 def chosen_design(samples: Sequence[LoggedSample],
                   feature_map: FeatureMap) -> Tuple[np.ndarray, np.ndarray]:
     """Design for the squared-error route: rows phi(x_t, a_t), targets r_t."""
-    n = len(samples)
+    batch = SampleBatch.of(samples)
+    n = len(batch)
     if n == 0:
         raise ValueError("empty sample batch")
-    Z = np.empty((n, feature_map.feature_dim))
-    y = np.empty(n)
-    for i, s in enumerate(samples):
-        Z[i] = feature_map.featurize(s.context, s.action)
-        y[i] = s.reward
-    return Z, y
+    _check_columns(batch, feature_map)
+    fm = feature_map
+    if fm.kind == CUSTOM:
+        Z = np.empty((n, fm.feature_dim))
+        for i in range(n):
+            Z[i] = fm.featurize(batch.X[i], int(batch.A[i]))
+        return Z, batch.r.copy()
+    Z = np.zeros((n, fm.feature_dim))
+    d = fm.raw_dim
+    w = d + 1 if fm.kind == ARM_BLOCK else d
+    for k in range(fm.num_actions):
+        rows = batch.A == k + 1
+        Z[rows, k * w:k * w + d] = batch.X[rows]
+        if fm.kind == ARM_BLOCK:
+            Z[rows, k * w + d] = 1.0
+    if fm.kind == SHARED_INTERCEPT:
+        Z[:, -1] = 1.0
+    return Z, batch.r.copy()
 
 
 def _ridge_fit(Z, y, ridge):

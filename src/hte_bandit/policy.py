@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (ActionDistribution, EpochSchedule, FeatureMap, LoggedSample,
-                   arm_block_map, shared_intercept_map)
+from .core import (ActionDistribution, EpochSchedule, LoggedSample, SampleBatch,
+                   arm_block_map, inverse_cdf, shared_intercept_map)
 from .oracle import (LinearModel, cross_fit_mu, estimation_rate,
                      fit_rloss, fit_rloss_lasso, fit_squared_error,
                      fit_squared_error_lasso, zero_model)
@@ -34,28 +34,41 @@ from .oracle import (LinearModel, cross_fit_mu, estimation_rate,
 ALGORITHMS = ("hte_igw", "igw", "mod_hte_igw", "mod_igw", "uniform")
 
 GAMMA_COEF = math.sqrt(1.0 / 8.0)
+# Rounds whose vectorized monitor margin lies within this (relative) distance
+# of failing are confirmed by SafetyMonitor.check; np.log and math.log differ
+# by an ulp on a few inputs, far below it.
+SCREEN_TOL = 1e-9
+HASH_CHUNK_BYTES = 1 << 20
 
 
-def igw_kernel(scores: np.ndarray, gamma: float) -> ActionDistribution:
+def igw_kernel(scores: np.ndarray, gamma: float):
     """Action distribution p(a) = 1 / (K + gamma * (s_max - s_a)), a != argmax,
     with the remainder on the argmax (lowest index on ties).
 
     The leader keeps at least 1/K probability and every action keeps at
-    least 1 / (K + gamma * max_gap) > 0.
+    least 1 / (K + gamma * max_gap) > 0.  A (K,) score vector gives an
+    ActionDistribution; an (n, K) block of score rows gives the (n, K)
+    array of kernel rows, each equal bit for bit to its one-row call.
     """
     s = np.asarray(scores, dtype=float)
-    if s.ndim != 1 or s.size < 2:
-        raise ValueError("scores must be a vector over at least two actions")
-    if not np.isfinite(s).all():
+    if s.ndim not in (1, 2) or s.shape[-1] < 2:
+        raise ValueError("scores must be a vector, or rows, over at least two actions")
+    # Direct ufunc reductions: the same arithmetic as .all(), .max() and
+    # .sum(), without the wrapper layer that dominates at small K.
+    if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise ValueError("scores must be finite")
     if not (math.isfinite(gamma) and gamma > 0):
         raise ValueError("gamma must be a positive finite real")
-    K = s.size
-    ahat = int(s.argmax())
-    p = 1.0 / (K + gamma * (s[ahat] - s))
-    p[ahat] = 0.0
-    p[ahat] = 1.0 - p.sum()
-    return ActionDistribution(p)
+    S = s.reshape(-1, s.shape[-1])
+    n, K = S.shape
+    P = 1.0 / (K + gamma * (np.maximum.reduce(S, axis=1, keepdims=True) - S))
+    lead = S.argmax(axis=1)   # flat positions of the leaders in P
+    if n > 1:
+        lead += np.arange(0, n * K, K)
+    flat = P.reshape(-1)
+    flat[lead] = 0.0
+    flat[lead] = 1.0 - np.add.reduce(P, axis=1)
+    return P if s.ndim == 2 else ActionDistribution.trusted(P[0])
 
 
 def gamma_schedule(prev_epoch_len: int, next_epoch: int, delta_prime: float,
@@ -99,14 +112,67 @@ class SafetyMonitor:
         self.counts: List[int] = []
         self.sums: List[float] = []
 
-    def record(self, epoch: int, reward: float) -> None:
-        if not self.r_lo <= reward <= self.r_hi:
-            raise ValueError(f"reward {reward!r} outside [{self.r_lo}, {self.r_hi}]")
+    def _running_sums(self, epoch: int, rewards) -> np.ndarray:
+        """Epoch's reward sum after each of rewards is added, in order
+        (np.cumsum adds sequentially, as one += per round does)."""
+        r = np.asarray(rewards, dtype=float).reshape(-1)
+        outside = ~((self.r_lo <= r) & (r <= self.r_hi))
+        if outside.any():
+            raise ValueError(f"reward {float(r[outside.argmax()])!r} outside "
+                             f"[{self.r_lo}, {self.r_hi}]")
         while len(self.counts) < epoch:
             self.counts.append(0)
             self.sums.append(0.0)
-        self.counts[epoch - 1] += 1
-        self.sums[epoch - 1] += reward
+        return np.cumsum(np.concatenate(([self.sums[epoch - 1]], r)))[1:]
+
+    def record(self, epoch: int, rewards) -> None:
+        """Add one reward, or an array of rewards in round order, to epoch."""
+        running = self._running_sums(epoch, rewards)
+        if running.size:
+            self.counts[epoch - 1] += running.size
+            self.sums[epoch - 1] = float(running[-1])
+
+    def record_until_trigger(self, t0: int, epoch: int, delta: float,
+                             rewards: np.ndarray) -> Tuple[int, int]:
+        """Record the rewards of rounds t0, t0 + 1, ... of epoch, checking
+        after each one, and stop after the first round that fails.
+
+        Returns (rounds recorded, fallback epoch), the epoch being 0 when no
+        round failed.  All rounds are screened at once with numpy's log;
+        only rounds within SCREEN_TOL of failing go through check itself
+        (math.log), so the outcome is exactly check's, round by round.
+        """
+        running = self._running_sums(epoch, rewards)
+        n = running.size
+        c0 = self.counts[epoch - 1]
+        counts = c0 + np.arange(1, n + 1)
+        t = np.arange(t0, t0 + n)
+        for i in self._near_failures(t, epoch, delta, counts, running):
+            self.counts[epoch - 1] = int(counts[i])
+            self.sums[epoch - 1] = float(running[i])
+            ok, best_epoch = self.check(int(t[i]), epoch, delta)
+            if not ok:
+                return int(i) + 1, best_epoch
+        if n:
+            self.counts[epoch - 1] = c0 + n
+            self.sums[epoch - 1] = float(running[-1])
+        return n, 0
+
+    def _near_failures(self, t, epoch, delta, counts, running) -> np.ndarray:
+        """Rounds whose check (as in check, vectorized) fails or nearly does."""
+        bench = [j for j in range(1, min(epoch, len(self.counts) + 1))
+                 if self.counts[j - 1] >= self.n_min]
+        if not bench:
+            return np.empty(0, dtype=int)
+        j = np.array(bench)[:, None]
+        n_j = np.array([self.counts[i - 1] for i in bench])[:, None]
+        mean_j = np.array([self.sums[i - 1] for i in bench])[:, None] / n_j
+        R = self.r_hi - self.r_lo
+        best = (mean_j - R * np.sqrt(np.log(4.0 * j * j * t * t / delta)
+                                     / (2.0 * n_j))).max(axis=0)
+        upper = running / counts + R * np.sqrt(
+            np.log(4.0 * epoch * epoch * t * t / delta) / (2.0 * counts))
+        return np.flatnonzero(upper < best + SCREEN_TOL * np.maximum(1.0, np.abs(best)))
 
     def width(self, epoch: int, n: int, t: int, delta: float) -> float:
         arg = math.log(4.0 * epoch * epoch * t * t / delta)
@@ -147,21 +213,51 @@ class FitRecord:
     gamma_next: float
     data_hash: str
     nuisance_fallback: bool = False
-    samples: Optional[List[LoggedSample]] = None
+    samples: Optional[SampleBatch] = None
 
 
-def _hash_batch(samples: List[LoggedSample]) -> str:
+def _hash_batch(samples: Sequence[LoggedSample]) -> str:
+    """sha256 of the packed rows (x f8[d], a <u4, p f8[K], r f8), hashed in
+    chunks of at most HASH_CHUNK_BYTES so no copy of the whole batch is made."""
+    b = SampleBatch.of(samples)
     h = hashlib.sha256()
-    for s in samples:
-        h.update(s.context.tobytes())
-        h.update(s.action.to_bytes(4, "little"))
-        h.update(s.propensities.probs.tobytes())
-        h.update(np.float64(s.reward).tobytes())
+    n = len(b)
+    if n == 0:
+        return h.hexdigest()
+    row = np.dtype([("x", "<f8", b.X.shape[1:]), ("a", "<u4"),
+                    ("p", "<f8", b.P.shape[1:]), ("r", "<f8")])
+    step = max(1, HASH_CHUNK_BYTES // row.itemsize)
+    for i in range(0, n, step):
+        chunk = np.empty(min(step, n - i), dtype=row)
+        chunk["x"], chunk["a"] = b.X[i:i + step], b.A[i:i + step]
+        chunk["p"], chunk["r"] = b.P[i:i + step], b.r[i:i + step]
+        h.update(chunk)
     return h.hexdigest()
 
 
+@dataclass
+class Play:
+    """Rounds played under one kernel: its epoch, gamma and safety flag,
+    and per round the scores, the action distribution and the action."""
+
+    epoch: int
+    gamma: float
+    safe: bool
+    scores: np.ndarray    # (n, K)
+    probs: np.ndarray     # (n, K)
+    actions: np.ndarray   # (n,) in 1..K
+
+    def info(self, i: int) -> dict:
+        return {"epoch": self.epoch, "gamma": self.gamma, "safe": self.safe,
+                "scores": self.scores[i]}
+
+
 class Policy:
-    """Epoch-scheduled IGW policy over one of the ALGORITHMS."""
+    """Epoch-scheduled IGW policy over one of the ALGORITHMS.
+
+    Rounds are played in blocks that lie inside one epoch (act_block, then
+    record_block); act and record are the one-round case of the same code.
+    """
 
     def __init__(self, algorithm: str, d: int, num_actions: int,
                  schedule: EpochSchedule, delta: float = 0.05, *, seed: int = 0,
@@ -207,49 +303,75 @@ class Policy:
         self.safe = True
         self.safe_epoch = 0
         self.monitor = SafetyMonitor(reward_range[0], reward_range[1], n_min)
-        self.buffer: List[LoggedSample] = []
+        self.buffer: List[SampleBatch] = []   # this epoch's logged rounds
         self.fits: List[FitRecord] = []
 
     # -- round loop ---------------------------------------------------------
 
-    def act(self, t: int, context: np.ndarray,
-            rng: np.random.Generator) -> Tuple[int, ActionDistribution, dict]:
-        """Advance the epoch clock to t, then sample an action."""
+    def advance(self, t: int) -> None:
+        """Finish every epoch before the one holding round t."""
         m = self.schedule.epoch_of(t)
         while self.epoch < m:
             self._finish_epoch()
+
+    def act_block(self, t0: int, contexts: np.ndarray, u: np.ndarray) -> Play:
+        """Play rounds t0 .. t0 + n - 1, which must lie in one epoch, on
+        (n, d) contexts: advance the epoch clock to t0, then draw each
+        action by inverse CDF from its uniform u (n,)."""
+        n = u.shape[0]
+        self.advance(t0)
+        if n > 1 and self.schedule.epoch_of(t0 + n - 1) != self.epoch:
+            raise ValueError("a block of rounds must lie inside one epoch")
+        K = self.num_actions
         if self.algorithm == "uniform":
-            dist = ActionDistribution(np.full(self.num_actions, 1.0 / self.num_actions))
-            scores = np.zeros(self.num_actions)
-            gamma_used = 1.0
+            gamma = 1.0
+            scores = np.zeros((n, K))
+            probs = np.full((n, K), 1.0 / K)
         else:
-            model, gamma_used = self.kernels[self.epoch if self.safe else self.safe_epoch]
-            scores = model.predict(context)
-            dist = igw_kernel(scores, gamma_used)
-        action = dist.sample(rng)
-        info = {"epoch": self.epoch, "gamma": gamma_used, "safe": self.safe,
-                "scores": scores}
-        return action, dist, info
+            model, gamma = self.kernels[self.epoch if self.safe else self.safe_epoch]
+            scores = model.predict(contexts)
+            probs = igw_kernel(scores, gamma)
+        return Play(self.epoch, gamma, self.safe, scores, probs,
+                    inverse_cdf(probs, u))
+
+    def record_block(self, t0: int, contexts: np.ndarray, actions: np.ndarray,
+                     probs: np.ndarray, rewards: np.ndarray) -> int:
+        """Log rounds t0 .. t0 + n - 1.  While safe, each round joins the
+        epoch buffer and the monitor checks it; recording stops after the
+        first round that fails.  Returns the rounds recorded: n, or fewer
+        after a trigger, when the rest must be played again (act_block) on
+        the fallback kernel."""
+        r = np.asarray(rewards, dtype=float)
+        lo, hi = self.reward_range
+        outside = ~((lo <= r) & (r <= hi))
+        if outside.any():
+            raise ValueError(f"reward {float(r[outside.argmax()])!r} outside declared "
+                             f"range {self.reward_range}")
+        if self.algorithm == "uniform" or r.size == 0:
+            return r.size
+        if not self.safe:
+            # Rewards keep accumulating after a trigger (logging only);
+            # the test itself never runs again.
+            self.monitor.record(self.epoch, r)
+            return r.size
+        k, fallback = self.monitor.record_until_trigger(t0, self.epoch, self.delta, r)
+        self.buffer.append(SampleBatch(contexts[:k], actions[:k], probs[:k], r[:k]))
+        if fallback:
+            self.safe = False
+            self.safe_epoch = fallback
+        return k
+
+    def act(self, t: int, context: np.ndarray,
+            rng: np.random.Generator) -> Tuple[int, ActionDistribution, dict]:
+        """Advance the epoch clock to t, then sample an action."""
+        u = np.array([rng.random()])
+        play = self.act_block(t, np.asarray(context, dtype=float)[None, :], u)
+        return int(play.actions[0]), ActionDistribution(play.probs[0]), play.info(0)
 
     def record(self, t: int, context: np.ndarray, action: int,
                dist: ActionDistribution, reward: float) -> None:
-        if not self.reward_range[0] <= reward <= self.reward_range[1]:
-            raise ValueError(f"reward {reward!r} outside declared range "
-                             f"{self.reward_range}")
-        if self.algorithm == "uniform":
-            return
-        # Rewards keep accumulating even after a trigger (logging only);
-        # the test itself never runs again once safe is False.
-        self.monitor.record(self.epoch, reward)
-        if not self.safe:
-            return
-        self.buffer.append(LoggedSample(context=np.array(context, dtype=float),
-                                        action=action, propensities=dist,
-                                        reward=reward))
-        ok, m_hat = self.monitor.check(t, self.epoch, self.delta)
-        if not ok:
-            self.safe = False
-            self.safe_epoch = m_hat
+        self.record_block(t, np.array(context, dtype=float)[None, :],
+                          np.array([action]), dist.probs[None, :], np.array([reward]))
 
     # -- epoch boundary -----------------------------------------------------
 
@@ -264,7 +386,7 @@ class Policy:
         self.epoch = m + 1
 
     def _refit(self, m: int) -> None:
-        batch = self.buffer
+        batch = SampleBatch.concat(self.buffer)
         n = len(batch)
         fallback = False
         if self.algorithm in ("hte_igw", "mod_hte_igw"):
@@ -298,4 +420,4 @@ class Policy:
             active_context=model.active_context_coefficients(),
             gamma_next=gamma, data_hash=_hash_batch(batch),
             nuisance_fallback=fallback,
-            samples=list(batch) if self.keep_fit_inputs else None))
+            samples=batch if self.keep_fit_inputs else None))

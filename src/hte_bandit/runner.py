@@ -19,8 +19,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .core import (STREAM_ACTION, STREAM_CONTEXT, STREAM_NOISE, rng_stream)
-from .environments import build_environment, expected_regret
+from .core import (STREAM_ACTION, STREAM_CONTEXT, STREAM_NOISE, ActionDistribution,
+                   rng_stream)
+from .environments import build_environment
 from .policy import FitRecord
 from .svg import Series, write_chart
 
@@ -74,53 +75,67 @@ class ExperimentResult:
 def run_single(config: RunConfig, seed: int,
                on_round: Optional[Callable] = None,
                keep_fit_inputs: bool = False) -> RunResult:
-    """One seeded trajectory of the configured algorithm."""
+    """One seeded trajectory of the configured algorithm, simulated one
+    epoch block at a time.  on_round(t=, round_=, action=, dist=, info=),
+    if given, is called once per round, in round order."""
     env = build_environment(config.env_spec(seed))
     policy = config.policy(seed, keep_fit_inputs)
-    rng_ctx = rng_stream(seed, STREAM_CONTEXT)
-    rng_noise = rng_stream(seed, STREAM_NOISE)
-    rng_act = rng_stream(seed, STREAM_ACTION)
-
+    rngs = tuple(rng_stream(seed, s)
+                 for s in (STREAM_CONTEXT, STREAM_NOISE, STREAM_ACTION))
     T = config.horizon
-    cols = {name: [] for name in ("t", "epoch", "safe", "gamma", "action",
-                                  "propensity", "reward", "expected_regret")}
-    trigger_round = 0
-    for t in range(1, T + 1):
-        rnd = env.sample_round(rng_ctx, rng_noise, t)
-        action, dist, info = policy.act(t, rnd.context, rng_act)
-        reward = rnd.reward(action)
-        was_safe = policy.safe
-        policy.record(t, rnd.context, action, dist, reward)
-        if was_safe and not policy.safe:
-            trigger_round = t
-        cols["t"].append(t)
-        cols["epoch"].append(info["epoch"])
-        cols["safe"].append(1 if info["safe"] else 0)
-        cols["gamma"].append(info["gamma"])
-        cols["action"].append(action)
-        cols["propensity"].append(dist.prob(action))
-        cols["reward"].append(reward)
-        cols["expected_regret"].append(expected_regret(rnd, action))
-        if on_round is not None:
-            on_round(t=t, round_=rnd, action=action, dist=dist, info=info)
+    res = RunResult(seed=seed, t=np.arange(1, T + 1),
+                    epoch=np.empty(T, dtype=int), safe=np.empty(T, dtype=int),
+                    gamma=np.empty(T), action=np.empty(T, dtype=int),
+                    propensity=np.empty(T), reward=np.empty(T),
+                    expected_regret=np.empty(T), cum_expected_regret=np.empty(0))
+    schedule = policy.schedule
+    t = 1
+    while t <= T:
+        end = min(schedule.boundary(schedule.epoch_of(t)), T)
+        # Refit before drawing the block, so no block arrays are held meanwhile.
+        policy.advance(t)
+        _play_block(env, policy, rngs, t, end - t + 1, res, on_round)
+        t = end + 1
+    res.cum_expected_regret = np.cumsum(res.expected_regret)
+    res.fits = policy.fits
+    res.triggered = not policy.safe
+    res.fallback_epoch = policy.safe_epoch
+    return res
 
-    reg = np.array(cols["expected_regret"])
-    return RunResult(
-        seed=seed,
-        t=np.array(cols["t"], dtype=int),
-        epoch=np.array(cols["epoch"], dtype=int),
-        safe=np.array(cols["safe"], dtype=int),
-        gamma=np.array(cols["gamma"]),
-        action=np.array(cols["action"], dtype=int),
-        propensity=np.array(cols["propensity"]),
-        reward=np.array(cols["reward"]),
-        expected_regret=reg,
-        cum_expected_regret=np.cumsum(reg),
-        fits=policy.fits,
-        triggered=not policy.safe,
-        trigger_round=trigger_round,
-        fallback_epoch=policy.safe_epoch,
-    )
+
+def _play_block(env, policy, rngs, t0: int, n: int, res: RunResult,
+                on_round: Optional[Callable]) -> None:
+    """Rounds t0 .. t0 + n - 1 of one epoch, written into res's columns.
+
+    After a monitor trigger the rest of the block is played again with the
+    fallback kernel, on the contexts, noise and action uniforms already
+    drawn: each stream spends one draw per round whatever the kernel.
+    """
+    rounds = env.sample_rounds(rngs[0], rngs[1], t0, n)
+    u = rngs[2].random(n)
+    i = 0
+    while i < n:
+        rest = rounds.tail(i)
+        play = policy.act_block(t0 + i, rest.contexts, u[i:])
+        reward = rest.rewards(play.actions)
+        was_safe = policy.safe
+        k = policy.record_block(t0 + i, rest.contexts, play.actions, play.probs, reward)
+        if was_safe and not policy.safe:
+            res.trigger_round = t0 + i + k - 1
+        rows = slice(t0 - 1 + i, t0 - 1 + i + k)
+        actions = play.actions[:k]
+        res.epoch[rows] = play.epoch
+        res.safe[rows] = 1 if play.safe else 0
+        res.gamma[rows] = play.gamma
+        res.action[rows] = actions
+        res.propensity[rows] = play.probs[np.arange(k), actions - 1]
+        res.reward[rows] = reward[:k]
+        res.expected_regret[rows] = rest.expected_regrets(actions)
+        if on_round is not None:
+            for j in range(k):
+                on_round(t=t0 + i + j, round_=rest.row(j), action=int(actions[j]),
+                         dist=ActionDistribution(play.probs[j]), info=play.info(j))
+        i += k
 
 
 def aggregate_curve(results: Sequence[RunResult]) -> RegretCurve:
@@ -146,9 +161,21 @@ def _worker_count(num_seeds: int) -> int:
     return max(1, min(num_seeds, os.cpu_count() or 1, limit))
 
 
-def run_seeds(config: RunConfig) -> List[RunResult]:
+def _prepare(config: RunConfig, dirs: Sequence) -> int:
+    """The worker count, and dirs created, before any seed runs: a bad
+    HTE_BANDIT_THREADS or an output directory that cannot be created is a
+    configuration error, reported before anything is simulated or written."""
+    workers = _worker_count(len(config.seeds))
+    for d in dirs:
+        try:
+            Path(d).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory {d}: {e}") from e
+    return workers
+
+
+def run_seeds(config: RunConfig, workers: int) -> List[RunResult]:
     seeds = list(config.seeds)
-    workers = _worker_count(len(seeds))
     if workers <= 1:
         return [run_single(config, s) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -183,11 +210,11 @@ def write_curve_csv(path, curve: RegretCurve) -> None:
 
 def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
     """Run every seed, aggregate, and (optionally) emit CSV + SVG artifacts."""
-    results = run_seeds(config)
+    workers = _prepare(config, [config.output_dir] if write else [])
+    results = run_seeds(config, workers)
     curve = aggregate_curve(results)
     if write:
         out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for r in results:
             write_run_csv(out / f"run_{r.seed}.csv", r)
         write_curve_csv(out / "curve.csv", curve)
@@ -210,11 +237,12 @@ def compare(config: RunConfig, algorithms: Sequence[str],
     subs = [replace(config, algorithm=algo,
                     output_dir=str(out / algo) if write else config.output_dir
                     ).validate() for algo in algorithms]
+    if write:
+        _prepare(config, [out] + [sub.output_dir for sub in subs])
     results: Dict[str, ExperimentResult] = {
         sub.algorithm: run_experiment(sub, write=write) for sub in subs}
 
     if write:
-        out.mkdir(parents=True, exist_ok=True)
         first = algorithms[0]
         base = results[first].curve.final_mean()
         lines = [COMPARE_HEADER]

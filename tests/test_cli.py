@@ -96,6 +96,24 @@ def test_cli_rejects_before_writing(tmp_path, monkeypatch, capsys, threads, args
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["run"],
+    ["compare", "--algos", "uniform,igw"],
+])
+def test_uncreatable_output_dir_is_a_config_error(tmp_path, capsys, args):
+    """An output directory under a regular file is reported before any seed
+    runs: exit 2 and one config-error line, not a traceback afterwards."""
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    code = cli.main(args + ["--set", "policy.algorithm=uniform",
+                            "--set", "env.horizon=50", "--set", "run.seeds=1",
+                            "--set", f"run.output_dir={blocker / 'sub'}"])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:"), err
+    assert blocker.read_text(encoding="utf-8") == ""
+
+
 def uniform_args(out_dir, horizon=50, seeds="1,2", d=4):
     return ["run",
             "--set", "policy.algorithm=uniform",

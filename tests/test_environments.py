@@ -67,6 +67,33 @@ def test_unit_sphere_contexts():
         assert abs(np.linalg.norm(env.sample_context(rng)) - 1.0) <= 1e-12
 
 
+class ScriptedNormals:
+    """Generator stand-in whose standard normals come from a fixed list."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self, shape):
+        n = int(np.prod(shape))
+        out, self.values = self.values[:n], self.values[n:]
+        return np.array(out, dtype=float).reshape(shape)
+
+
+def test_unit_sphere_block_redraws_degenerate_rows():
+    """A row with norm <= 1e-12 is skipped, as the one-context draw skips
+    it, and the rows after it move up the stream."""
+    rows = [[3.0, 4.0], [0.0, 0.0], [1e-13, 0.0], [0.0, -2.0], [5.0, 12.0],
+            [-1.0, 0.0]]
+    flat = [v for row in rows for v in row]
+    env = build_environment(spec_for("lin_lin", d=2))
+    block = env.sample_rounds(ScriptedNormals(flat), rng_stream(1, 1), 1, 4)
+    one = ScriptedNormals(flat)
+    singles = [env.sample_context(one) for _ in range(4)]
+    want = [[0.6, 0.8], [0.0, -1.0], [5.0 / 13.0, 12.0 / 13.0], [-1.0, 0.0]]
+    np.testing.assert_array_equal(block.contexts, singles)
+    np.testing.assert_allclose(block.contexts, want, atol=1e-15)
+
+
 def test_truth_vectors_are_unit_norm_and_u_in_range():
     for scenario in SCENARIOS:
         env = build_environment(spec_for(scenario, seed=13))

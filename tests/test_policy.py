@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hte_bandit import policy
 from hte_bandit.config import RunConfig
-from hte_bandit.core import EpochSchedule, LoggedSample, rng_stream
+from hte_bandit.core import (ActionDistribution, EpochSchedule, LoggedSample,
+                             SampleBatch, inverse_cdf, rng_stream)
 from hte_bandit.environments import build_environment
 from hte_bandit.oracle import (
     cross_fit_mu,
@@ -70,6 +74,92 @@ def test_kernel_floor_and_leader_mass():
         assert p[ahat] == p.max()
         assert p.min() >= 1.0 / (K + gamma * np.ptp(s)) - 1e-15
         assert abs(p.sum() - 1.0) <= 1e-12
+
+
+class FixedUniform:
+    """Stands in for a generator whose next uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def reference_draw(probs, u):
+    """Inverse CDF written out: first action whose running sum exceeds u."""
+    c = 0.0
+    for i, pi in enumerate(probs):
+        c += pi
+        if u < c:
+            return i + 1
+    return probs.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(K=st.integers(2, 1000), rows=st.integers(1, 5),
+       log_gamma=st.floats(0.0, 9.0), seed=st.integers(0, 2 ** 32 - 1),
+       ties=st.booleans())
+def test_block_kernel_rows_match_single_calls(K, rows, log_gamma, seed, ties):
+    rng = np.random.default_rng(seed)
+    S = 3.0 * rng.standard_normal((rows, K))
+    if ties:
+        S = np.round(S)          # exact ties, at the maximum too
+    gamma = math.exp(log_gamma)
+    P = igw_kernel(S, gamma)
+    assert P.shape == (rows, K)
+    for i in range(rows):
+        row = igw_kernel(S[i], gamma).probs
+        assert P[i].tobytes() == row.tobytes()
+        lead = int(np.argmax(S[i]))
+        others = np.arange(K) != lead
+        assert abs(P[i].sum() - 1.0) <= 1e-12
+        assert P[i, lead] >= 1.0 / K - K * np.finfo(float).eps
+        floor = 1.0 / (K + gamma * (S[i].max() - S[i].min()))
+        assert np.all(P[i, others] >= floor)
+        assert P[i, lead] >= floor - K * np.finfo(float).eps
+
+    u = rng.random(rows)
+    u[-1] = np.cumsum(P[-1])[-1]         # at the last running sum: action K
+    actions = inverse_cdf(P, u)
+    assert actions[-1] == K
+    for i in range(rows):
+        single = ActionDistribution(P[i]).sample(FixedUniform(u[i]))
+        assert actions[i] == single == reference_draw(P[i], u[i])
+
+
+def test_batch_hash_is_pinned_and_chunk_free(monkeypatch):
+    """The packed-row digest of a fixed batch, pinned to the value the
+    per-sample hash gave; the column form and the chunk size leave it be."""
+    X = np.arange(15.0).reshape(5, 3) / 7.0
+    A = [1, 2, 3, 1, 2]
+    P = [[0.2, 0.3, 0.5], [0.6, 0.25, 0.15], [0.1, 0.1, 0.8],
+         [1 / 3, 1 / 3, 1 / 3], [0.5, 0.5, 0.0]]
+    r = [-0.25, 0.0, 1.5, 2.0 / 3.0, 1e-300]
+    samples = [LoggedSample(X[i], A[i], ActionDistribution(P[i]), r[i])
+               for i in range(5)]
+    want = "58e908827feec0de09f994d5cb04f01c2b9c5290295cbeb669fec2c24d4f4f6d"
+    assert _hash_batch(samples) == want
+    assert _hash_batch(SampleBatch.of(samples)) == want
+    row_bytes = 3 * 8 + 4 + 3 * 8 + 8
+    for chunk in (1, 2 * row_bytes + 1):
+        monkeypatch.setattr(policy, "HASH_CHUNK_BYTES", chunk)
+        assert _hash_batch(samples) == want
+
+
+def test_batch_slices_like_a_sample_list():
+    X = np.arange(12.0).reshape(4, 3)
+    P = np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0], [0.4, 0.6]])
+    batch = SampleBatch(X, np.array([1, 2, 1, 2]), P,
+                        np.array([0.5, -1.0, 2.0, 0.25])).with_mu(np.arange(4.0))
+    part = batch[1:4:2]
+    assert isinstance(part, SampleBatch) and len(part) == 2
+    for got, want in zip(part, list(batch)[1:4:2]):
+        assert np.array_equal(got.context, want.context)
+        assert (got.action, got.reward, got.mu_hat) == \
+            (want.action, want.reward, want.mu_hat)
+        assert np.array_equal(got.propensities.probs, want.propensities.probs)
+    assert len(SampleBatch(X, np.array([1, 2, 1, 2]), P, np.zeros(4))[:0]) == 0
 
 
 # -- exploration schedule ---------------------------------------------------------
