@@ -15,15 +15,15 @@ from .config import ConfigError, RunConfig, load_config
 from .core import STREAM_VALIDATION, rng_stream
 from .policy import igw_kernel
 from .runner import compare, implicit_regret_sweep, run_experiment
-from .validation import (excess_risk_identity_gap, misspec_bound_check,
-                         random_instance, random_kernel, random_model_class,
-                         shifted_class)
+from .validation import (BOUND_TOL, IDENTITY_TOL, excess_risk_identity_gap,
+                         misspec_bound_check, random_instance, random_kernel,
+                         random_model_class, shifted_class)
 
 Check = Tuple[str, bool, str]
 
 
 def identity_check(seed: int = 0, instances: int = 50,
-                   tol: float = 1e-10) -> Check:
+                   tol: float = IDENTITY_TOL) -> Check:
     """Excess R-loss risk must match the gap identity and ignore the
     nuisance table, to float precision, on random finite instances."""
     rng = rng_stream(seed, STREAM_VALIDATION)
@@ -56,7 +56,7 @@ def bound_check(seed: int = 1, instances: int = 100, kernels: int = 20,
     strict = random_instance(rng, noise=False)
     srep = misspec_bound_check(strict, shifted_class(strict, 0.5),
                                [strict.kernel])
-    strict_ok = (srep.holds and srep.best_excess <= 1e-12
+    strict_ok = (srep.holds and srep.best_excess <= BOUND_TOL
                  and srep.best_squared >= strict_margin)
     return ("misspecification bound", ok and strict_ok,
             f"{checked} kernel cases, strict gap {srep.best_squared:.3f}")

@@ -77,12 +77,12 @@ class RunConfig:
                                horizon=self.horizon, seed=seed,
                                amplitude=self.amplitude, period=self.period)
 
-    def policy(self, seed: int, keep_fit_inputs: bool = False) -> Policy:
+    def policy(self, seed: int) -> Policy:
         return Policy(self.algorithm, self.d, self.num_actions, self.schedule(),
                       self.delta, seed=seed, ridge_scale=self.ridge_scale,
                       num_folds=self.num_folds, rate_const=self.rate_const,
                       lasso_const=self.lasso_const, n_min=self.n_min,
-                      reward_range=self.reward_range(), keep_fit_inputs=keep_fit_inputs)
+                      reward_range=self.reward_range())
 
     def validate(self) -> "RunConfig":
         """Build what a run builds, so their checks apply; then check the run."""

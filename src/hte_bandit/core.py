@@ -156,27 +156,59 @@ class FeatureMap:
         if not 1 <= action <= self.num_actions:
             raise ValueError(f"action {action} outside 1..{self.num_actions}")
         x = np.asarray(x, dtype=float)
-        if self.kind == CUSTOM:
-            v = np.asarray(self.fn(x, action), dtype=float)
-            if v.shape != (self.feature_dim,):
-                raise ValueError("custom map returned wrong dimension")
-            return v
-        if x.shape != (self.raw_dim,):
-            raise ValueError(f"context has shape {x.shape}, expected ({self.raw_dim},)")
-        out = np.zeros(self.feature_dim)
-        b = action - 1
-        if self.kind == ARM_BLOCK:
-            w = self.raw_dim + 1
-            out[b * w : b * w + self.raw_dim] = x
-            out[b * w + self.raw_dim] = 1.0
-        else:  # SHARED_INTERCEPT
-            out[b * self.raw_dim : (b + 1) * self.raw_dim] = x
-            out[-1] = 1.0
-        return out
+        if self.kind != CUSTOM:
+            return self.design(x[None], np.array([action]))[0]
+        v = np.asarray(self.fn(x, action), dtype=float)
+        if v.shape != (self.feature_dim,):
+            raise ValueError("custom map returned wrong dimension")
+        return v
 
     def all_actions(self, x: np.ndarray) -> np.ndarray:
         """Stack phi(x, a) for a = 1..K into a (K, p) matrix."""
         return np.stack([self.featurize(x, a) for a in range(1, self.num_actions + 1)])
+
+    def design(self, X: np.ndarray, A: np.ndarray,
+               P: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (n, p) design of contexts X (n, d) and actions A (n,) in 1..K:
+        rows phi(x_i, a_i) or, given propensity rows P (n, K), the
+        residualized rows phi(x_i, a_i) - sum_b P[i, b] phi(x_i, b).
+
+        Built-in kinds are written in closed form, one action block at a
+        time: e_a kron v minus p kron v, v = [x; 1] (arm block) or x
+        (shared), as two separately rounded products like the row formula;
+        (e_a - p) kron v would round differently.  The shared intercept
+        column is 1 - sum_b P[i, b].  Custom maps go row by row through fn.
+        """
+        if self.kind != CUSTOM and X.shape[1:] != (self.raw_dim,):
+            raise ValueError(f"contexts have shape {X.shape[1:]}, "
+                             f"expected ({self.raw_dim},)")
+        if not np.all((A >= 1) & (A <= self.num_actions)):
+            raise ValueError(f"actions outside 1..{self.num_actions}")
+        n = A.shape[0]
+        Z = np.zeros((n, self.feature_dim))
+        if self.kind == CUSTOM:
+            for i in range(n):
+                if P is None:
+                    Z[i] = self.featurize(X[i], int(A[i]))
+                else:
+                    phi = self.all_actions(X[i])
+                    Z[i] = phi[A[i] - 1] - P[i] @ phi
+            return Z
+        if self.kind == ARM_BLOCK:
+            V = np.empty((n, self.raw_dim + 1))
+            V[:, :-1] = X
+            V[:, -1] = 1.0
+        else:  # SHARED_INTERCEPT
+            V = X
+            Z[:, -1] = 1.0 if P is None else 1.0 - P.sum(axis=1)
+        w = V.shape[1]
+        for k in range(self.num_actions):
+            block = Z[:, k * w:(k + 1) * w]
+            rows = A == k + 1
+            block[rows] = V[rows]
+            if P is not None:
+                block -= P[:, k, None] * V
+        return Z
 
     def scores(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         """All K inner products <theta, phi(x, a)> without materializing phi:

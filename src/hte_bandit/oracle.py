@@ -24,8 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .core import (ARM_BLOCK, CUSTOM, SHARED_INTERCEPT, STREAM_FOLD, FeatureMap,
-                   LoggedSample, SampleBatch, rng_stream)
+from .core import STREAM_FOLD, FeatureMap, LoggedSample, SampleBatch, rng_stream
 
 ACTIVE_TOL = 1e-10        # |theta_j| above this counts as an active coefficient
 EIGEN_CLIP = 1e-12        # relative eigenvalue cutoff for the min-norm fallback
@@ -156,38 +155,6 @@ def cross_fit_mu(samples: Sequence[LoggedSample], num_folds: int = 2,
     return est, batch.with_mu(mu)
 
 
-def _check_columns(batch: SampleBatch, feature_map: FeatureMap) -> None:
-    if feature_map.kind == CUSTOM:
-        return
-    K = feature_map.num_actions
-    if batch.X.shape[1:] != (feature_map.raw_dim,):
-        raise ValueError(f"contexts have shape {batch.X.shape[1:]}, "
-                         f"expected ({feature_map.raw_dim},)")
-    if not np.all((batch.A >= 1) & (batch.A <= K)):
-        raise ValueError(f"actions outside 1..{K}")
-
-
-def _arm_block_residuals(X: np.ndarray, A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Rows phi(x, a) - sum_b p(b) phi(x, b) of the arm-block map in closed
-    form, e_a kron [x; 1] minus p kron [x; 1], one arm block at a time.
-
-    The two products are rounded apart, as the row-by-row formula rounds
-    them; (e_a - p) kron [x; 1] would round differently.
-    """
-    n, d = X.shape
-    K = P.shape[1]
-    w = d + 1
-    Z = np.empty((n, K * w))
-    for k in range(K):
-        block = Z[:, k * w:k * w + d]
-        np.multiply(P[:, k, None], X, out=block)
-        chosen = A == k + 1
-        np.subtract(X, block, out=block, where=chosen[:, None])
-        np.subtract(0.0, block, out=block, where=~chosen[:, None])
-        Z[:, k * w + d] = np.where(chosen, 1.0 - P[:, k], 0.0 - P[:, k])
-    return Z
-
-
 def residualized_design(samples: Sequence[LoggedSample],
                         feature_map: FeatureMap) -> Tuple[np.ndarray, np.ndarray]:
     """Build (Z, y) for the R-loss regression.
@@ -196,55 +163,27 @@ def residualized_design(samples: Sequence[LoggedSample],
     Requires cross-fitted mu_hat on every sample.
     """
     batch = SampleBatch.of(samples)
-    n = len(batch)
-    if n == 0:
+    if len(batch) == 0:
         raise ValueError("empty sample batch")
     if batch.mu is None:
         raise ValueError("samples lack cross-fitted mu_hat")
-    _check_columns(batch, feature_map)
-    if feature_map.kind == ARM_BLOCK:
-        Z = _arm_block_residuals(batch.X, batch.A, batch.P)
-    else:
-        Z = np.empty((n, feature_map.feature_dim))
-        for i in range(n):
-            phi = feature_map.all_actions(batch.X[i])
-            Z[i] = phi[batch.A[i] - 1] - batch.P[i] @ phi
-    return Z, batch.r - batch.mu
+    return feature_map.design(batch.X, batch.A, batch.P), batch.r - batch.mu
 
 
 def chosen_design(samples: Sequence[LoggedSample],
                   feature_map: FeatureMap) -> Tuple[np.ndarray, np.ndarray]:
     """Design for the squared-error route: rows phi(x_t, a_t), targets r_t."""
     batch = SampleBatch.of(samples)
-    n = len(batch)
-    if n == 0:
+    if len(batch) == 0:
         raise ValueError("empty sample batch")
-    _check_columns(batch, feature_map)
-    fm = feature_map
-    if fm.kind == CUSTOM:
-        Z = np.empty((n, fm.feature_dim))
-        for i in range(n):
-            Z[i] = fm.featurize(batch.X[i], int(batch.A[i]))
-        return Z, batch.r.copy()
-    Z = np.zeros((n, fm.feature_dim))
-    d = fm.raw_dim
-    w = d + 1 if fm.kind == ARM_BLOCK else d
-    for k in range(fm.num_actions):
-        rows = batch.A == k + 1
-        Z[rows, k * w:k * w + d] = batch.X[rows]
-        if fm.kind == ARM_BLOCK:
-            Z[rows, k * w + d] = 1.0
-    if fm.kind == SHARED_INTERCEPT:
-        Z[:, -1] = 1.0
-    return Z, batch.r.copy()
+    return feature_map.design(batch.X, batch.A), batch.r.copy()
 
 
 def _ridge_fit(Z, y, ridge):
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
     A = Z.T @ Z
-    if ridge > 0:
-        A = A + ridge * np.eye(Z.shape[1])
+    A[np.diag_indices_from(A)] += ridge
     return _solve_psd(A, Z.T @ y)
 
 
@@ -282,7 +221,8 @@ def _coordinate_descent(Z, y, lam, penalized):
     n, p = Z.shape
     scales = np.sqrt(np.mean(Z * Z, axis=0))
     live = scales > 0
-    Zs = np.where(live, Z / np.where(live, scales, 1.0), 0.0)
+    Zs = Z / np.where(live, scales, 1.0)
+    Zs[:, ~live] = 0.0
     col_sq = np.einsum("ij,ij->j", Zs, Zs)
     thr = lam * n
     theta = np.zeros(p)

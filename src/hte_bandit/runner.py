@@ -73,13 +73,12 @@ class ExperimentResult:
 
 
 def run_single(config: RunConfig, seed: int,
-               on_round: Optional[Callable] = None,
-               keep_fit_inputs: bool = False) -> RunResult:
+               on_round: Optional[Callable] = None) -> RunResult:
     """One seeded trajectory of the configured algorithm, simulated one
     epoch block at a time.  on_round(t=, round_=, action=, dist=, info=),
     if given, is called once per round, in round order."""
     env = build_environment(config.env_spec(seed))
-    policy = config.policy(seed, keep_fit_inputs)
+    policy = config.policy(seed)
     rngs = tuple(rng_stream(seed, s)
                  for s in (STREAM_CONTEXT, STREAM_NOISE, STREAM_ACTION))
     T = config.horizon

@@ -66,6 +66,46 @@ def direct_samples(Z, y, mu=0.0):
     return [logged(z, 1, [0.0, 1.0], yi, mu=mu) for z, yi in zip(Z, y)]
 
 
+# -- design rows -----------------------------------------------------------------
+
+DESIGN_MAPS = {
+    "arm_block": arm_block_map,
+    "shared_intercept": shared_intercept_map,
+    "custom": lambda d, K: custom_map(
+        lambda x, a: np.concatenate([np.sin(a * x), [float(a), 1.0]]),
+        feature_dim=d + 2, num_actions=K, raw_dim=d, intercepts=(d + 1,)),
+}
+
+
+@pytest.mark.parametrize("K", [2, 5])
+@pytest.mark.parametrize("kind", sorted(DESIGN_MAPS))
+def test_design_rows_match_per_row_formula(kind, K):
+    """Both designs equal the per-row formulas built from featurize,
+    phi(x, a) and phi(x, a) - sum_b p(b) phi(x, b): exactly, except the
+    shared intercept column (1 - sum_b p(b)), which may differ by an ulp."""
+    d, n = 3, 40
+    fm = DESIGN_MAPS[kind](d, K)
+    rng = rng_stream(11, 0)
+    X = rng.standard_normal((n, d))
+    X[0] = 0.0
+    A = rng.integers(1, K + 1, n)
+    P = rng.dirichlet(np.ones(K), n)
+    P[1] = np.eye(K)[A[1] - 1]           # all mass on the logged action
+    samples = [logged(X[i], int(A[i]), P[i], float(i), mu=0.5) for i in range(n)]
+    phis = [np.stack([fm.featurize(x, b) for b in range(1, K + 1)]) for x in X]
+    want_chosen = np.stack([phi[a - 1] for phi, a in zip(phis, A)])
+    want_resid = np.stack([phi[a - 1] - p @ phi for phi, a, p in zip(phis, A, P)])
+
+    Z, y = chosen_design(samples, fm)
+    np.testing.assert_array_equal(Z, want_chosen)
+    np.testing.assert_array_equal(y, np.arange(n, dtype=float))
+    R, y = residualized_design(samples, fm)
+    np.testing.assert_array_equal(y, np.arange(n) - 0.5)
+    blocks = slice(None, -1) if kind == "shared_intercept" else slice(None)
+    np.testing.assert_array_equal(R[:, blocks], want_resid[:, blocks])
+    np.testing.assert_allclose(R[:, -1], want_resid[:, -1], rtol=0, atol=1e-15)
+
+
 # -- cross-fitting -------------------------------------------------------------
 
 def test_cross_fit_constant_rewards_exact_without_ridge():
