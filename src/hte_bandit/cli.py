@@ -64,23 +64,28 @@ def bound_check(seed: int = 1, instances: int = 100, kernels: int = 20,
 
 def kernel_check(seed: int = 2, draws: int = 100_000) -> Check:
     """Inverse-gap kernel validity: simplex membership, leader mass,
-    and the per-action floor 1/(K + gamma * max_gap)."""
+    and the per-action floor 1/(K + gamma * max_gap).  Each chunk of draws
+    is checked per K as one (n, K) block, with one gamma per row."""
     rng = rng_stream(seed, STREAM_VALIDATION)
     ok = True
-    for _ in range(draws):
-        K = int(rng.integers(2, 7))
-        scores = 3.0 * rng.standard_normal(K)
-        gamma = float(np.exp(rng.uniform(0.0, 9.0)))
-        dist = igw_kernel(scores, gamma)
-        p = dist.probs
-        ahat = int(np.argmax(scores))
-        floor = 1.0 / (K + gamma * (scores.max() - scores.min()))
-        ok = ok and abs(p.sum() - 1.0) <= 1e-12
-        ok = ok and p[ahat] >= 1.0 / K - 1e-15
-        ok = ok and p[ahat] == p.max()
-        ok = ok and p.min() >= floor - 1e-15
-        if not ok:
-            break
+    chunk = 10_000   # draws held at once; row i of normals holds draw i's K <= 6
+    for start in range(0, draws, chunk):
+        n = min(chunk, draws - start)
+        ks, normals, exponents = np.empty(n, dtype=int), np.empty((n, 6)), np.empty(n)
+        for i in range(n):
+            K = ks[i] = rng.integers(2, 7)
+            rng.standard_normal(out=normals[i, :K])
+            exponents[i] = rng.uniform(0.0, 9.0)
+        for K in range(2, 7):
+            scores = 3.0 * normals[ks == K, :K]
+            gamma = np.exp(exponents[ks == K])
+            p = igw_kernel(scores, gamma)
+            lead = p[np.arange(len(scores)), scores.argmax(axis=1)]
+            floor = 1.0 / (K + gamma * (scores.max(axis=1) - scores.min(axis=1)))
+            ok = ok and bool(np.all((np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
+                                    & (lead >= 1.0 / K - 1e-15)
+                                    & (lead == p.max(axis=1))
+                                    & (p.min(axis=1) >= floor - 1e-15)))
     return ("kernel validity sweep", ok, f"{draws} random (scores, gamma) draws")
 
 

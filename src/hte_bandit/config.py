@@ -74,8 +74,8 @@ class RunConfig:
     def env_spec(self, seed: int) -> EnvironmentSpec:
         return EnvironmentSpec(scenario=self.scenario, d=self.d,
                                num_actions=self.num_actions, sigma=self.sigma,
-                               horizon=self.horizon, seed=seed,
-                               amplitude=self.amplitude, period=self.period)
+                               seed=seed, amplitude=self.amplitude,
+                               period=self.period)
 
     def policy(self, seed: int) -> Policy:
         return Policy(self.algorithm, self.d, self.num_actions, self.schedule(),
@@ -90,6 +90,8 @@ class RunConfig:
             raise ConfigError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        if self.horizon < 0:
+            raise ConfigError("horizon must be nonnegative")
         try:
             spec = self.env_spec(self.seeds[0])
             self.policy(self.seeds[0])

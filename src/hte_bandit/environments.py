@@ -34,7 +34,6 @@ class EnvironmentSpec:
     d: int
     num_actions: int = 2
     sigma: float = 0.1
-    horizon: int = 10_000
     seed: int = 0
     amplitude: float = 0.5   # nonstationary only
     period: float = 500.0
@@ -48,8 +47,6 @@ class EnvironmentSpec:
             raise ValueError("need at least two actions")
         if not self.sigma >= 0:
             raise ValueError("noise scale must be nonnegative")
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
         if self.scenario == "nonstationary" and not self.period > 0:
             raise ValueError("period must be positive")
 

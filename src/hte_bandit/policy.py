@@ -41,13 +41,14 @@ SCREEN_TOL = 1e-9
 HASH_CHUNK_BYTES = 1 << 20
 
 
-def igw_kernel(scores: np.ndarray, gamma: float):
+def igw_kernel(scores: np.ndarray, gamma: float | np.ndarray):
     """Action distribution p(a) = 1 / (K + gamma * (s_max - s_a)), a != argmax,
     with the remainder on the argmax (lowest index on ties).
 
     The leader keeps at least 1/K probability and every action keeps at
-    least 1 / (K + gamma * max_gap) > 0.  A (K,) score vector gives an
-    ActionDistribution; an (n, K) block of score rows gives the (n, K)
+    least 1 / (K + gamma * max_gap) > 0.  A (K,) score vector and a float
+    gamma give an ActionDistribution.  An (n, K) block of score rows, with
+    one float gamma or an (n,) array of one gamma per row, gives the (n, K)
     array of kernel rows, each equal bit for bit to its one-row call.
     """
     s = np.asarray(scores, dtype=float)
@@ -57,10 +58,15 @@ def igw_kernel(scores: np.ndarray, gamma: float):
     # .sum(), without the wrapper layer that dominates at small K.
     if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise ValueError("scores must be finite")
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError("gamma must be a positive finite real")
     S = s.reshape(-1, s.shape[-1])
     n, K = S.shape
+    if isinstance(gamma, np.ndarray) and gamma.ndim:
+        if not (s.ndim == 2 and gamma.shape == (n,)
+                and np.logical_and.reduce((gamma > 0) & (gamma < math.inf))):
+            raise ValueError("gamma must be one positive finite real per score row")
+        gamma = gamma[:, None]
+    elif not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError("gamma must be a positive finite real")
     P = 1.0 / (K + gamma * (np.maximum.reduce(S, axis=1, keepdims=True) - S))
     lead = S.argmax(axis=1)   # flat positions of the leaders in P
     if n > 1:
@@ -247,10 +253,6 @@ class Play:
     probs: np.ndarray     # (n, K)
     actions: np.ndarray   # (n,) in 1..K
 
-    def info(self, i: int) -> dict:
-        return {"epoch": self.epoch, "gamma": self.gamma, "safe": self.safe,
-                "scores": self.scores[i]}
-
 
 class Policy:
     """Epoch-scheduled IGW policy over one of the ALGORITHMS.
@@ -366,7 +368,9 @@ class Policy:
         """Advance the epoch clock to t, then sample an action."""
         u = np.array([rng.random()])
         play = self.act_block(t, np.asarray(context, dtype=float)[None, :], u)
-        return int(play.actions[0]), ActionDistribution(play.probs[0]), play.info(0)
+        info = {"epoch": play.epoch, "gamma": play.gamma, "safe": play.safe,
+                "scores": play.scores[0]}
+        return int(play.actions[0]), ActionDistribution(play.probs[0]), info
 
     def record(self, t: int, context: np.ndarray, action: int,
                dist: ActionDistribution, reward: float) -> None:

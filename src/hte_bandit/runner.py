@@ -14,13 +14,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .core import (STREAM_ACTION, STREAM_CONTEXT, STREAM_NOISE, ActionDistribution,
-                   rng_stream)
+from .core import STREAM_ACTION, STREAM_CONTEXT, STREAM_NOISE, rng_stream
 from .environments import build_environment
 from .policy import FitRecord
 from .svg import Series, write_chart
@@ -46,6 +45,10 @@ class RunResult:
     triggered: bool = False
     trigger_round: int = 0
     fallback_epoch: int = 0
+    # Over the rounds played: max of sum_a p(a)(s_max - s_a) - K / gamma, and
+    # min of p(a_t) - 1 / (K + gamma * (s_max - s_min)), the kernel floor margin.
+    max_regret_slack: float = -np.inf
+    min_floor_margin: float = np.inf
 
     def final_regret(self) -> float:
         return float(self.cum_expected_regret[-1]) if self.t.size else 0.0
@@ -72,11 +75,9 @@ class ExperimentResult:
     curve: RegretCurve
 
 
-def run_single(config: RunConfig, seed: int,
-               on_round: Optional[Callable] = None) -> RunResult:
+def run_single(config: RunConfig, seed: int) -> RunResult:
     """One seeded trajectory of the configured algorithm, simulated one
-    epoch block at a time.  on_round(t=, round_=, action=, dist=, info=),
-    if given, is called once per round, in round order."""
+    epoch block at a time."""
     env = build_environment(config.env_spec(seed))
     policy = config.policy(seed)
     rngs = tuple(rng_stream(seed, s)
@@ -93,7 +94,7 @@ def run_single(config: RunConfig, seed: int,
         end = min(schedule.boundary(schedule.epoch_of(t)), T)
         # Refit before drawing the block, so no block arrays are held meanwhile.
         policy.advance(t)
-        _play_block(env, policy, rngs, t, end - t + 1, res, on_round)
+        _play_block(env, policy, rngs, t, end - t + 1, res)
         t = end + 1
     res.cum_expected_regret = np.cumsum(res.expected_regret)
     res.fits = policy.fits
@@ -102,8 +103,7 @@ def run_single(config: RunConfig, seed: int,
     return res
 
 
-def _play_block(env, policy, rngs, t0: int, n: int, res: RunResult,
-                on_round: Optional[Callable]) -> None:
+def _play_block(env, policy, rngs, t0: int, n: int, res: RunResult) -> None:
     """Rounds t0 .. t0 + n - 1 of one epoch, written into res's columns.
 
     After a monitor trigger the rest of the block is played again with the
@@ -123,17 +123,20 @@ def _play_block(env, policy, rngs, t0: int, n: int, res: RunResult,
             res.trigger_round = t0 + i + k - 1
         rows = slice(t0 - 1 + i, t0 - 1 + i + k)
         actions = play.actions[:k]
+        S, P, gamma = play.scores[:k], play.probs[:k], play.gamma
+        K, top = S.shape[1], S.max(axis=1)
+        propensity = P[np.arange(k), actions - 1]
         res.epoch[rows] = play.epoch
         res.safe[rows] = 1 if play.safe else 0
         res.gamma[rows] = play.gamma
         res.action[rows] = actions
-        res.propensity[rows] = play.probs[np.arange(k), actions - 1]
+        res.propensity[rows] = propensity
         res.reward[rows] = reward[:k]
         res.expected_regret[rows] = rest.expected_regrets(actions)
-        if on_round is not None:
-            for j in range(k):
-                on_round(t=t0 + i + j, round_=rest.row(j), action=int(actions[j]),
-                         dist=ActionDistribution(play.probs[j]), info=play.info(j))
+        res.max_regret_slack = max(res.max_regret_slack, float(
+            ((P * (top[:, None] - S)).sum(axis=1) - K / gamma).max()))
+        res.min_floor_margin = min(res.min_floor_margin, float(
+            (propensity - 1.0 / (K + gamma * (top - S.min(axis=1)))).min()))
         i += k
 
 
@@ -259,22 +262,7 @@ def compare(config: RunConfig, algorithms: Sequence[str],
     return results
 
 
-# -- run-level structural sweep ----------------------------------------------
-
 def implicit_regret_sweep(config: RunConfig, seed: int) -> float:
-    """Max over rounds of sum_a p(a)(s_max - s_a) - K / gamma.
-
-    The kernel guarantees this is <= 0 up to float error for every context;
-    callers assert against a small positive tolerance.
-    """
-    worst = -np.inf
-    K = config.num_actions
-
-    def check(t, round_, action, dist, info):
-        nonlocal worst
-        s = info["scores"]
-        lhs = float(dist.probs @ (s.max() - s))
-        worst = max(worst, lhs - K / info["gamma"])
-
-    run_single(config, seed, on_round=check)
-    return worst
+    """Max over the rounds of one run of sum_a p(a)(s_max - s_a) - K / gamma.
+    The kernel keeps it <= 0 up to float error; callers allow a small tolerance."""
+    return run_single(config, seed).max_regret_slack

@@ -3,7 +3,9 @@
 run_single simulates one epoch block at a time.  The reference here drives
 the public one-round API instead (Environment.sample_round, Policy.act and
 Policy.record, one call each per round), and every logged column, every
-refit's data hash and the monitor's outcome must agree bit for bit.
+refit's data hash and the monitor's outcome must agree bit for bit.  The
+kernel figures run_single computes per block (the implicit-regret slack and
+the floor margin) must match the same figures taken one round at a time.
 """
 
 from dataclasses import replace
@@ -34,9 +36,14 @@ def round_by_round(cfg: RunConfig, seed: int) -> dict:
     rc, rn, ra = (rng_stream(seed, s)
                   for s in (STREAM_CONTEXT, STREAM_NOISE, STREAM_ACTION))
     rows, trigger_round = [], 0
+    slack, margin = -np.inf, np.inf
+    K = cfg.num_actions
     for t in range(1, cfg.horizon + 1):
         rnd = env.sample_round(rc, rn, t)
         action, dist, info = pol.act(t, rnd.context, ra)
+        s, g = info["scores"], info["gamma"]
+        slack = max(slack, float(dist.probs @ (s.max() - s)) - K / g)
+        margin = min(margin, dist.prob(action) - 1.0 / (K + g * (s.max() - s.min())))
         reward = rnd.reward(action)
         was_safe = pol.safe
         pol.record(t, rnd.context, action, dist, reward)
@@ -47,7 +54,8 @@ def round_by_round(cfg: RunConfig, seed: int) -> dict:
     cols = dict(zip(COLUMNS, (np.array(c) for c in zip(*rows))))
     cols["cum_expected_regret"] = np.cumsum(cols["expected_regret"])
     return dict(cols=cols, hashes=[f.data_hash for f in pol.fits],
-                monitor=(not pol.safe, trigger_round, pol.safe_epoch))
+                monitor=(not pol.safe, trigger_round, pol.safe_epoch),
+                kernel=(slack, margin))
 
 
 def assert_same_run(cfg: RunConfig, seed: int):
@@ -59,6 +67,8 @@ def assert_same_run(cfg: RunConfig, seed: int):
         assert getattr(got, name).dtype == want["cols"][name].dtype, name
     assert [f.data_hash for f in got.fits] == want["hashes"]
     assert (got.triggered, got.trigger_round, got.fallback_epoch) == want["monitor"]
+    np.testing.assert_allclose((got.max_regret_slack, got.min_floor_margin),
+                               want["kernel"], rtol=0, atol=1e-15)
     return got
 
 

@@ -241,6 +241,34 @@ def test_validate_command_passes(capsys):
     assert "4/4 checks passed" in out
 
 
+def test_validation_checks_return_python_bools():
+    checks = [cli.identity_check(instances=5), cli.bound_check(instances=3, kernels=2),
+              cli.kernel_check(draws=2000), cli.implicit_regret_check()]
+    for check in checks:
+        name, ok, stat = check
+        assert type(name) is str and type(ok) is bool and type(stat) is str
+        assert ok, check
+
+
+def test_kernel_check_flags_a_kernel_below_its_floor(monkeypatch):
+    """Half of each row's smallest probability moved to the leader: sums,
+    leader mass and argmax stay right, only the floor breaks."""
+    real_kernel = cli.igw_kernel
+
+    def floorless(scores, gamma):
+        P = real_kernel(scores, gamma).copy()
+        rows = np.arange(P.shape[0])
+        low, lead = P.argmin(axis=1), P.argmax(axis=1)
+        P[rows, lead] += P[rows, low] / 2
+        P[rows, low] /= 2
+        return P
+
+    assert cli.kernel_check(draws=2000)[1] is True
+    monkeypatch.setattr(cli, "igw_kernel", floorless)
+    name, ok, _ = cli.kernel_check(draws=2000)
+    assert name == "kernel validity sweep" and ok is False
+
+
 def test_validate_flags_a_broken_identity_evaluator(monkeypatch, capsys):
     def sign_flipped(inst, g, mu_a, mu_b):
         delta = g - inst.f_star

@@ -17,9 +17,9 @@ from hte_bandit.environments import (
 )
 
 
-def spec_for(scenario, d=6, K=2, seed=5, horizon=100, sigma=0.1, **kw):
+def spec_for(scenario, d=6, K=2, seed=5, sigma=0.1, **kw):
     return EnvironmentSpec(scenario=scenario, d=d, num_actions=K, sigma=sigma,
-                           horizon=horizon, seed=seed, **kw)
+                           seed=seed, **kw)
 
 
 def test_spec_validation():
@@ -31,13 +31,13 @@ def test_spec_validation():
         spec_for("lin_lin", K=1)
     with pytest.raises(ValueError):
         EnvironmentSpec(scenario="lin_lin", d=4, num_actions=2, sigma=-0.1,
-                        horizon=10, seed=0)
+                        seed=0)
 
 
 def test_paper_scale_spec_accepted():
     env = build_environment(EnvironmentSpec(scenario="lin_lin", d=100,
                                             num_actions=2, sigma=0.1,
-                                            horizon=10_000, seed=1))
+                                            seed=1))
     rnd = env.sample_round(rng_stream(1, 0), rng_stream(1, 1), t=1)
     assert rnd.context.shape == (100,)
     assert rnd.mean_rewards.shape == (2,)

@@ -43,7 +43,7 @@ def env_batch(scenario, n, seed, d=6, sigma=0.1):
     """Uniform-logging batch from a built scenario."""
     env = build_environment(EnvironmentSpec(scenario=scenario, d=d,
                                             num_actions=2, sigma=sigma,
-                                            horizon=n, seed=seed))
+                                            seed=seed))
     rng_c, rng_n, rng_a = (rng_stream(seed, s) for s in (0, 1, 2))
     half = ActionDistribution([0.5, 0.5])
     out = []
@@ -431,7 +431,7 @@ def test_lasso_on_constant_effect_scenario():
     assert model.active_context_coefficients() == 0
     env = build_environment(EnvironmentSpec(scenario="lin_const", d=20,
                                             num_actions=2, sigma=0.1,
-                                            horizon=2000, seed=31))
+                                            seed=31))
     true_gap = env.truth.u[0] + 1.0 - env.truth.u[1]
     fitted_gap = float(np.diff(model.predict(np.zeros(20)))[0])
     assert -fitted_gap == pytest.approx(true_gap, abs=0.05)

@@ -60,6 +60,17 @@ def test_kernel_validation():
         igw_kernel(np.array([1.0, np.nan]), 1.0)
     with pytest.raises(ValueError):
         igw_kernel(np.array([1.0]), 1.0)
+    # one gamma per row: every entry positive and finite, one per score row,
+    # and only for a block of rows
+    S = np.array([[1.0, 0.0], [0.5, 2.0], [0.0, 0.0]])
+    for bad in (np.nan, 0.0, np.inf, -1.0):
+        with pytest.raises(ValueError):
+            igw_kernel(S, np.array([1.0, bad, 2.0]))
+    for wrong_length in (np.array([1.0, 2.0]), np.ones(4), np.ones((3, 1))):
+        with pytest.raises(ValueError):
+            igw_kernel(S, wrong_length)
+    with pytest.raises(ValueError):
+        igw_kernel(np.array([1.0, 0.0]), np.array([1.0]))
 
 
 def test_kernel_floor_and_leader_mass():
@@ -118,6 +129,13 @@ def test_block_kernel_rows_match_single_calls(K, rows, log_gamma, seed, ties):
         floor = 1.0 / (K + gamma * (S[i].max() - S[i].min()))
         assert np.all(P[i, others] >= floor)
         assert P[i, lead] >= floor - K * np.finfo(float).eps
+
+    # one gamma per row: row i equals the one-row call at its own gamma
+    gammas = np.exp(rng.uniform(0.0, 9.0, rows))
+    P_rows = igw_kernel(S, gammas)
+    assert P_rows.shape == (rows, K)
+    for i in range(rows):
+        assert P_rows[i].tobytes() == igw_kernel(S[i], float(gammas[i])).probs.tobytes()
 
     u = rng.random(rows)
     u[-1] = np.cumsum(P[-1])[-1]         # at the last running sum: action K
@@ -453,17 +471,9 @@ def test_logged_propensities_respect_the_kernel_floor():
     cfg = RunConfig(scenario="lin_lin", d=20, horizon=5000,
                     algorithm="hte_igw", schedule_kind="doubling",
                     schedule_base=128, rate_const=0.01, seeds=(101,))
-    worst_floor, worst_simple = np.inf, np.inf
-
-    def cb(t, round_, action, dist, info):
-        nonlocal worst_floor, worst_simple
-        p, g, s = dist.prob(action), info["gamma"], info["scores"]
-        worst_floor = min(worst_floor, p - 1.0 / (2.0 + g * np.ptp(s)))
-        worst_simple = min(worst_simple, p - 1.0 / (2.0 + g))
-
-    run_single(cfg, 101, on_round=cb)
-    assert worst_floor >= -1e-12
-    assert worst_simple >= 0.0
+    res = run_single(cfg, 101)
+    assert res.min_floor_margin >= -1e-12
+    assert (res.propensity - 1.0 / (2.0 + res.gamma)).min() >= 0.0
 
 
 def test_implicit_regret_stays_below_k_over_gamma():

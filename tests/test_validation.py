@@ -177,7 +177,7 @@ def test_mc_excess_risk_matches_quadrature_on_linear_scenario():
     d = 5
     env = build_environment(EnvironmentSpec(scenario="lin_lin", d=d,
                                             num_actions=2, sigma=0.1,
-                                            horizon=10, seed=77))
+                                            seed=77))
     diff = env.truth.thetas[0] - env.truth.thetas[1]
     closed = float(diff @ diff) / (4.0 * d)
 
