@@ -67,15 +67,18 @@ def kernel_check(seed: int = 2, draws: int = 100_000) -> Check:
     and the per-action floor 1/(K + gamma * max_gap).  Each chunk of draws
     is checked per K as one (n, K) block, with one gamma per row."""
     rng = rng_stream(seed, STREAM_VALIDATION)
+    # 9.0 * random() is uniform(0.0, 9.0) bit for bit: numpy computes
+    # low + (high - low) * next_double from the same stream.
+    integers, standard_normal, random = rng.integers, rng.standard_normal, rng.random
     ok = True
     chunk = 10_000   # draws held at once; row i of normals holds draw i's K <= 6
     for start in range(0, draws, chunk):
         n = min(chunk, draws - start)
         ks, normals, exponents = np.empty(n, dtype=int), np.empty((n, 6)), np.empty(n)
         for i in range(n):
-            K = ks[i] = rng.integers(2, 7)
-            rng.standard_normal(out=normals[i, :K])
-            exponents[i] = rng.uniform(0.0, 9.0)
+            K = ks[i] = integers(2, 7)
+            standard_normal(out=normals[i, :K])
+            exponents[i] = 9.0 * random()
         for K in range(2, 7):
             scores = 3.0 * normals[ks == K, :K]
             gamma = np.exp(exponents[ks == K])

@@ -58,23 +58,30 @@ def igw_kernel(scores: np.ndarray, gamma: float | np.ndarray):
     # .sum(), without the wrapper layer that dominates at small K.
     if not np.logical_and.reduce(np.isfinite(s), axis=None):
         raise ValueError("scores must be finite")
-    S = s.reshape(-1, s.shape[-1])
-    n, K = S.shape
+    K = s.shape[-1]
     if isinstance(gamma, np.ndarray) and gamma.ndim:
-        if not (s.ndim == 2 and gamma.shape == (n,)
+        if not (s.ndim == 2 and gamma.shape == (len(s),)
                 and np.logical_and.reduce((gamma > 0) & (gamma < math.inf))):
             raise ValueError("gamma must be one positive finite real per score row")
         gamma = gamma[:, None]
     elif not (math.isfinite(gamma) and gamma > 0):
         raise ValueError("gamma must be a positive finite real")
-    P = 1.0 / (K + gamma * (np.maximum.reduce(S, axis=1, keepdims=True) - S))
-    lead = S.argmax(axis=1)   # flat positions of the leaders in P
+    if s.ndim == 1:
+        # One row, without the block bookkeeping below: the same arithmetic.
+        p = 1.0 / (K + gamma * (np.maximum.reduce(s) - s))
+        lead = s.argmax()
+        p[lead] = 0.0
+        p[lead] = 1.0 - np.add.reduce(p)
+        return ActionDistribution.trusted(p)
+    n = len(s)
+    P = 1.0 / (K + gamma * (np.maximum.reduce(s, axis=1, keepdims=True) - s))
+    lead = s.argmax(axis=1)   # flat positions of the leaders in P
     if n > 1:
         lead += np.arange(0, n * K, K)
     flat = P.reshape(-1)
     flat[lead] = 0.0
     flat[lead] = 1.0 - np.add.reduce(P, axis=1)
-    return P if s.ndim == 2 else ActionDistribution.trusted(P[0])
+    return P
 
 
 def gamma_schedule(prev_epoch_len: int, next_epoch: int, delta_prime: float,
@@ -117,6 +124,10 @@ class SafetyMonitor:
         self.n_min = n_min
         self.counts: List[int] = []
         self.sums: List[float] = []
+        # (epoch, 4 j^2, 2 n_j, mean_j) over the completed epochs j < epoch
+        # with n_j >= n_min: built once per epoch by _near_failures, dropped
+        # when an epoch below it is recorded into.
+        self._bench: Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = None
 
     def _running_sums(self, epoch: int, rewards) -> np.ndarray:
         """Epoch's reward sum after each of rewards is added, in order
@@ -126,6 +137,8 @@ class SafetyMonitor:
         if outside.any():
             raise ValueError(f"reward {float(r[outside.argmax()])!r} outside "
                              f"[{self.r_lo}, {self.r_hi}]")
+        if self._bench is not None and epoch < self._bench[0]:
+            self._bench = None
         while len(self.counts) < epoch:
             self.counts.append(0)
             self.sums.append(0.0)
@@ -166,16 +179,18 @@ class SafetyMonitor:
 
     def _near_failures(self, t, epoch, delta, counts, running) -> np.ndarray:
         """Rounds whose check (as in check, vectorized) fails or nearly does."""
-        bench = [j for j in range(1, min(epoch, len(self.counts) + 1))
-                 if self.counts[j - 1] >= self.n_min]
-        if not bench:
+        if self._bench is None or self._bench[0] != epoch:
+            bench = [j for j in range(1, min(epoch, len(self.counts) + 1))
+                     if self.counts[j - 1] >= self.n_min]
+            j = np.array(bench, dtype=int)[:, None]
+            n_j = np.array([self.counts[i - 1] for i in bench], dtype=int)[:, None]
+            mean_j = np.array([self.sums[i - 1] for i in bench])[:, None] / n_j
+            self._bench = (epoch, 4.0 * j * j, 2.0 * n_j, mean_j)
+        _, jj4, n_j2, mean_j = self._bench
+        if not mean_j.size:
             return np.empty(0, dtype=int)
-        j = np.array(bench)[:, None]
-        n_j = np.array([self.counts[i - 1] for i in bench])[:, None]
-        mean_j = np.array([self.sums[i - 1] for i in bench])[:, None] / n_j
         R = self.r_hi - self.r_lo
-        best = (mean_j - R * np.sqrt(np.log(4.0 * j * j * t * t / delta)
-                                     / (2.0 * n_j))).max(axis=0)
+        best = (mean_j - R * np.sqrt(np.log(jj4 * t * t / delta) / n_j2)).max(axis=0)
         upper = running / counts + R * np.sqrt(
             np.log(4.0 * epoch * epoch * t * t / delta) / (2.0 * counts))
         return np.flatnonzero(upper < best + SCREEN_TOL * np.maximum(1.0, np.abs(best)))

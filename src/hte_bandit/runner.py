@@ -190,24 +190,32 @@ def _f(v: float) -> str:
     return repr(float(v))
 
 
+def _ints(col: np.ndarray):
+    return map(str, col.tolist())
+
+
+def _floats(col: np.ndarray):
+    return map(repr, col.tolist())   # repr: the shortest round-trip form
+
+
+def _write_rows(path, header: str, cols) -> None:
+    """One CSV line per row of the formatted columns, each column formatted
+    once as a whole."""
+    rows = map(",".join, zip(*cols))
+    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+
+
 def write_run_csv(path, result: RunResult) -> None:
-    lines = [RUN_HEADER]
-    for i in range(result.t.size):
-        lines.append(",".join((
-            str(int(result.t[i])), str(int(result.epoch[i])),
-            str(int(result.safe[i])), _f(result.gamma[i]),
-            str(int(result.action[i])), _f(result.propensity[i]),
-            _f(result.reward[i]), _f(result.expected_regret[i]),
-            _f(result.cum_expected_regret[i]))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    r = result
+    _write_rows(path, RUN_HEADER, (
+        _ints(r.t), _ints(r.epoch), _ints(r.safe), _floats(r.gamma),
+        _ints(r.action), _floats(r.propensity), _floats(r.reward),
+        _floats(r.expected_regret), _floats(r.cum_expected_regret)))
 
 
 def write_curve_csv(path, curve: RegretCurve) -> None:
-    lines = [CURVE_HEADER]
-    for i in range(curve.t.size):
-        lines.append(",".join((str(int(curve.t[i])), _f(curve.mean[i]),
-                               _f(curve.std[i]))))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_rows(path, CURVE_HEADER,
+                (_ints(curve.t), _floats(curve.mean), _floats(curve.std)))
 
 
 def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:

@@ -69,13 +69,17 @@ def line_chart(series: Sequence[Series], title: str = "",
     pw = WIDTH - MARGIN_L - MARGIN_R
     ph = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(v: float) -> float:
+    # px and py map a coordinate, or an array of them elementwise.
+    def px(v):
         if x_hi == x_lo:
-            return MARGIN_L
+            return np.full_like(v, MARGIN_L, dtype=float)
         return MARGIN_L + pw * (v - x_lo) / (x_hi - x_lo)
 
-    def py(v: float) -> float:
+    def py(v):
         return MARGIN_T + ph * (1.0 - (v - y_lo) / (y_hi - y_lo))
+
+    def points(x: np.ndarray, y: np.ndarray) -> str:
+        return " ".join(map("{:.2f},{:.2f}".format, px(x).tolist(), py(y).tolist()))
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -114,13 +118,11 @@ def line_chart(series: Sequence[Series], title: str = "",
     for i, s in enumerate(xs):
         color = s.color or PALETTE[i % len(PALETTE)]
         if s.band is not None and np.any(s.band > 0):
-            upper = [f"{px(x):.2f},{py(m + b):.2f}"
-                     for x, m, b in zip(s.x, s.mean, s.band)]
-            lower = [f"{px(x):.2f},{py(m - b):.2f}"
-                     for x, m, b in zip(s.x[::-1], s.mean[::-1], s.band[::-1])]
-            out.append(f'<polygon points="{" ".join(upper + lower)}" '
+            upper = points(s.x, s.mean + s.band)
+            lower = points(s.x[::-1], s.mean[::-1] - s.band[::-1])
+            out.append(f'<polygon points="{upper} {lower}" '
                        f'fill="{color}" fill-opacity="0.15" stroke="none"/>')
-        pts = " ".join(f"{px(x):.2f},{py(m):.2f}" for x, m in zip(s.x, s.mean))
+        pts = points(s.x, s.mean)
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.6"/>')
 

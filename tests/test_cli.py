@@ -2,6 +2,7 @@
 
 import filecmp
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +240,14 @@ def test_validate_command_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "4/4 checks passed" in out
+
+
+def test_validate_output_matches_golden(capsys):
+    """Every stat line of the default validate run, as pinned in
+    tests/golden/validate.txt (read only)."""
+    assert cli.main(["validate"]) == 0
+    golden = Path(__file__).parent / "golden" / "validate.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_validation_checks_return_python_bools():

@@ -295,6 +295,32 @@ def test_monitor_adversarial_stream_matches_closed_form():
     assert trigger[1] == 2               # reverts to the certified epoch
 
 
+def test_monitor_cache_follows_records_into_older_epochs():
+    """_near_failures keeps the completed epochs' arrays per epoch.  Recording
+    into an older epoch after a cached call must screen the current epoch's
+    rounds exactly as a monitor that first screens after that record."""
+    delta = 0.05
+    cached, fresh = SafetyMonitor(0.0, 1.0, n_min=32), SafetyMonitor(0.0, 1.0, n_min=32)
+    for mon in (cached, fresh):
+        mon.record(1, np.full(40, 0.5))
+        mon.record(2, np.full(40, 0.5))
+    # Epoch 3 is played against the two short, loosely bounded epochs: safe.
+    assert cached.record_until_trigger(81, 3, delta, np.full(100, 0.45)) == (100, 0)
+    fresh.record(3, np.full(100, 0.45))
+    for mon in (cached, fresh):
+        mon.record(1, np.full(2000, 0.95))   # epoch 1 now certifies ~0.87
+    t, counts = np.arange(181, 681), np.arange(101, 601)
+    running = 45.0 + np.cumsum(np.full(500, 0.45))
+    screened = fresh._near_failures(t, 3, delta, counts, running)
+    assert screened.size
+    np.testing.assert_array_equal(cached._near_failures(t, 3, delta, counts, running),
+                                  screened)
+    got = cached.record_until_trigger(181, 3, delta, np.full(500, 0.45))
+    assert got == fresh.record_until_trigger(181, 3, delta, np.full(500, 0.45))
+    assert got[1] == 1 and got[0] < 500
+    assert (cached.counts, cached.sums) == (fresh.counts, fresh.sums)
+
+
 # -- policy loop --------------------------------------------------------------------
 
 def drive(policy, contexts, rewards_by_round, rng):

@@ -7,6 +7,7 @@ from scipy import stats
 from hte_bandit.core import rng_stream
 from hte_bandit.environments import EnvironmentSpec, build_environment
 from hte_bandit.validation import (
+    BoundReport,
     FiniteInstance,
     exact_rloss_risk,
     excess_risk_identity_gap,
@@ -132,6 +133,69 @@ def test_bound_constant_shift_class_has_strict_gap():
     assert rep.best_squared == pytest.approx(0.25, abs=1e-12)
     assert squared_error_risk(inst, inst.f_star + 0.5) == \
         pytest.approx(0.25, abs=1e-12)
+
+
+def reference_bound_check(inst, model_class, kernels, tol=1e-12):
+    """misspec_bound_check as a loop over kernels and class members, each
+    risk one table at a time."""
+    def rloss(sub, g, mu):
+        contrast = g - (sub.kernel * g).sum(axis=1, keepdims=True)
+        err = sub.f_star - mu[:, None] - contrast
+        per = err * err
+        if sub.noise_var is not None:
+            per = per + sub.noise_var
+        return float(sub.context_probs @ (sub.kernel * per).sum(axis=1))
+
+    def squared(sub, g):
+        delta = g - sub.f_star
+        return float(sub.context_probs @ (sub.kernel * delta * delta).sum(axis=1))
+
+    mu0 = np.zeros(inst.num_contexts)
+    holds, worst, max_e, max_s = True, np.inf, -np.inf, -np.inf
+    best_e = best_s = np.nan
+    for kern in kernels:
+        sub = FiniteInstance(inst.context_probs, inst.f_star, kern, inst.noise_var)
+        base = rloss(sub, sub.f_star, mu0)
+        best_e = min(rloss(sub, g, mu0) - base for g in model_class)
+        best_s = min(squared(sub, g) for g in model_class)
+        holds = holds and (best_e <= best_s + tol)
+        worst = min(worst, best_s - best_e)
+        max_e, max_s = max(max_e, best_e), max(max_s, best_s)
+    return BoundReport(holds, best_e, best_s, worst, max_e, max_s)
+
+
+def report_bits(rep):
+    return (rep.holds, *(float(v).hex() for v in (
+        rep.best_excess, rep.best_squared, rep.worst_margin, rep.max_excess,
+        rep.max_squared)))
+
+
+@pytest.mark.parametrize("noise", [False, True])
+def test_class_batched_bound_check_matches_member_loop(noise):
+    """The inputs of the validate command's bound check (seed 1), and the
+    same draws with noise variances: every report field bit for bit."""
+    rng = rng_stream(1, 5)
+    for _ in range(100):
+        inst = random_instance(rng, noise=noise)
+        cls = random_model_class(rng, inst)
+        kerns = [random_kernel(rng, inst.num_contexts, inst.num_actions)
+                 for _ in range(20)]
+        assert report_bits(misspec_bound_check(inst, cls, kerns)) == \
+            report_bits(reference_bound_check(inst, cls, kerns))
+    strict = random_instance(rng, noise=noise)
+    cls = shifted_class(strict, 0.5)
+    assert report_bits(misspec_bound_check(strict, cls, [strict.kernel])) == \
+        report_bits(reference_bound_check(strict, cls, [strict.kernel]))
+
+
+def test_bound_check_rejects_a_kernel_off_the_simplex():
+    rng = rng_stream(56, 5)
+    inst = random_instance(rng, noise=False)
+    cls = random_model_class(rng, inst)
+    bad = inst.kernel.copy()
+    bad[-1] *= 1.01
+    with pytest.raises(ValueError, match="kernel rows"):
+        misspec_bound_check(inst, cls, [inst.kernel, bad])
 
 
 def test_exact_risk_matches_monte_carlo():
