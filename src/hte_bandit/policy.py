@@ -34,10 +34,6 @@ from .oracle import (LinearModel, cross_fit_mu, estimation_rate,
 ALGORITHMS = ("hte_igw", "igw", "mod_hte_igw", "mod_igw", "uniform")
 
 GAMMA_COEF = math.sqrt(1.0 / 8.0)
-# Rounds whose vectorized monitor margin lies within this (relative) distance
-# of failing are confirmed by SafetyMonitor.check; np.log and math.log differ
-# by an ulp on a few inputs, far below it.
-SCREEN_TOL = 1e-9
 HASH_CHUNK_BYTES = 1 << 20
 
 
@@ -124,10 +120,6 @@ class SafetyMonitor:
         self.n_min = n_min
         self.counts: List[int] = []
         self.sums: List[float] = []
-        # (epoch, 4 j^2, 2 n_j, mean_j) over the completed epochs j < epoch
-        # with n_j >= n_min: built once per epoch by _near_failures, dropped
-        # when an epoch below it is recorded into.
-        self._bench: Optional[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = None
 
     def _running_sums(self, epoch: int, rewards) -> np.ndarray:
         """Epoch's reward sum after each of rewards is added, in order
@@ -137,8 +129,6 @@ class SafetyMonitor:
         if outside.any():
             raise ValueError(f"reward {float(r[outside.argmax()])!r} outside "
                              f"[{self.r_lo}, {self.r_hi}]")
-        if self._bench is not None and epoch < self._bench[0]:
-            self._bench = None
         while len(self.counts) < epoch:
             self.counts.append(0)
             self.sums.append(0.0)
@@ -157,70 +147,49 @@ class SafetyMonitor:
         after each one, and stop after the first round that fails.
 
         Returns (rounds recorded, fallback epoch), the epoch being 0 when no
-        round failed.  All rounds are screened at once with numpy's log;
-        only rounds within SCREEN_TOL of failing go through check itself
-        (math.log), so the outcome is exactly check's, round by round.
+        round failed.
         """
         running = self._running_sums(epoch, rewards)
         n = running.size
         c0 = self.counts[epoch - 1]
-        counts = c0 + np.arange(1, n + 1)
-        t = np.arange(t0, t0 + n)
-        for i in self._near_failures(t, epoch, delta, counts, running):
-            self.counts[epoch - 1] = int(counts[i])
-            self.sums[epoch - 1] = float(running[i])
-            ok, best_epoch = self.check(int(t[i]), epoch, delta)
-            if not ok:
-                return int(i) + 1, best_epoch
-        if n:
-            self.counts[epoch - 1] = c0 + n
-            self.sums[epoch - 1] = float(running[-1])
-        return n, 0
+        fails, best = self._failures(np.arange(t0, t0 + n), epoch, delta,
+                                     c0 + np.arange(1, n + 1), running)
+        failed = fails.any()
+        k = int(fails.argmax()) + 1 if failed else n
+        if k:
+            self.counts[epoch - 1] = c0 + k
+            self.sums[epoch - 1] = float(running[k - 1])
+        return k, int(best[k - 1]) if failed else 0
 
-    def _near_failures(self, t, epoch, delta, counts, running) -> np.ndarray:
-        """Rounds whose check (as in check, vectorized) fails or nearly does."""
-        if self._bench is None or self._bench[0] != epoch:
-            bench = [j for j in range(1, min(epoch, len(self.counts) + 1))
-                     if self.counts[j - 1] >= self.n_min]
-            j = np.array(bench, dtype=int)[:, None]
-            n_j = np.array([self.counts[i - 1] for i in bench], dtype=int)[:, None]
-            mean_j = np.array([self.sums[i - 1] for i in bench])[:, None] / n_j
-            self._bench = (epoch, 4.0 * j * j, 2.0 * n_j, mean_j)
-        _, jj4, n_j2, mean_j = self._bench
-        if not mean_j.size:
-            return np.empty(0, dtype=int)
+    def _failures(self, t, epoch, delta, counts, running) -> Tuple[np.ndarray, np.ndarray]:
+        """The test at rounds t (n,) of epoch, whose sample counts and reward
+        sums after each round are counts and running: per round, whether it
+        fails, and the completed epoch with the largest lower bound (the
+        first on ties; 0 when no completed epoch has n_min samples)."""
+        bench = [j for j in range(1, min(epoch, len(self.counts) + 1))
+                 if self.counts[j - 1] >= self.n_min]
+        if not bench:
+            return np.zeros(t.shape, dtype=bool), np.zeros(t.shape, dtype=int)
+        j = np.array(bench)[:, None]
+        n_j = np.array([self.counts[i - 1] for i in bench])[:, None]
+        mean_j = np.array([self.sums[i - 1] for i in bench])[:, None] / n_j
         R = self.r_hi - self.r_lo
-        best = (mean_j - R * np.sqrt(np.log(jj4 * t * t / delta) / n_j2)).max(axis=0)
+        lower = mean_j - R * np.sqrt(np.log(4.0 * j * j * t * t / delta) / (2.0 * n_j))
         upper = running / counts + R * np.sqrt(
             np.log(4.0 * epoch * epoch * t * t / delta) / (2.0 * counts))
-        return np.flatnonzero(upper < best + SCREEN_TOL * np.maximum(1.0, np.abs(best)))
-
-    def width(self, epoch: int, n: int, t: int, delta: float) -> float:
-        arg = math.log(4.0 * epoch * epoch * t * t / delta)
-        return (self.r_hi - self.r_lo) * math.sqrt(arg / (2.0 * n))
-
-    def lower_bound(self, epoch: int, t: int, delta: float) -> float:
-        n = self.counts[epoch - 1]
-        return self.sums[epoch - 1] / n - self.width(epoch, n, t, delta)
+        return upper < lower.max(axis=0), j[lower.argmax(axis=0), 0]
 
     def check(self, t: int, current_epoch: int, delta: float) -> Tuple[bool, int]:
-        """Returns (still_safe, best_epoch).  best_epoch is meaningful only
-        on failure: the completed epoch with the largest lower bound."""
-        best, best_epoch = -math.inf, 0
-        for j in range(1, min(current_epoch, len(self.counts) + 1)):
-            if self.counts[j - 1] >= self.n_min:
-                lb = self.lower_bound(j, t, delta)
-                if lb > best:
-                    best, best_epoch = lb, j
-        if best_epoch == 0:
-            return True, 0
+        """Returns (still_safe, best_epoch) after round t, the one-round case
+        of record_until_trigger.  best_epoch is meaningful only on failure:
+        the completed epoch with the largest lower bound."""
         if current_epoch > len(self.counts) or self.counts[current_epoch - 1] < 1:
             return True, 0
-        n = self.counts[current_epoch - 1]
-        mean = self.sums[current_epoch - 1] / n
-        if mean + self.width(current_epoch, n, t, delta) < best:
-            return False, best_epoch
-        return True, 0
+        fails, best = self._failures(
+            np.array([t]), current_epoch, delta,
+            np.array([self.counts[current_epoch - 1]]),
+            np.array([self.sums[current_epoch - 1]]))
+        return (False, int(best[0])) if fails[0] else (True, 0)
 
 
 @dataclass
@@ -359,16 +328,9 @@ class Policy:
         after a trigger, when the rest must be played again (act_block) on
         the fallback kernel."""
         r = np.asarray(rewards, dtype=float)
-        lo, hi = self.reward_range
-        outside = ~((lo <= r) & (r <= hi))
-        if outside.any():
-            raise ValueError(f"reward {float(r[outside.argmax()])!r} outside declared "
-                             f"range {self.reward_range}")
-        if self.algorithm == "uniform" or r.size == 0:
-            return r.size
-        if not self.safe:
-            # Rewards keep accumulating after a trigger (logging only);
-            # the test itself never runs again.
+        if self.algorithm == "uniform" or not self.safe or r.size == 0:
+            # Logging only (the monitor checks the reward range): uniform
+            # never tests, and after a trigger the test never runs again.
             self.monitor.record(self.epoch, r)
             return r.size
         k, fallback = self.monitor.record_until_trigger(t0, self.epoch, self.delta, r)

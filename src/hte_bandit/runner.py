@@ -50,9 +50,6 @@ class RunResult:
     max_regret_slack: float = -np.inf
     min_floor_margin: float = np.inf
 
-    def final_regret(self) -> float:
-        return float(self.cum_expected_regret[-1]) if self.t.size else 0.0
-
 
 @dataclass
 class RegretCurve:
@@ -186,10 +183,6 @@ def run_seeds(config: RunConfig, workers: int) -> List[RunResult]:
 
 # -- file emission -----------------------------------------------------------
 
-def _f(v: float) -> str:
-    return repr(float(v))
-
-
 def _ints(col: np.ndarray):
     return map(str, col.tolist())
 
@@ -253,15 +246,11 @@ def compare(config: RunConfig, algorithms: Sequence[str],
         sub.algorithm: run_experiment(sub, write=write) for sub in subs}
 
     if write:
-        first = algorithms[0]
-        base = results[first].curve.final_mean()
-        lines = [COMPARE_HEADER]
-        for algo in algorithms:
-            cur = results[algo].curve
-            ratio = cur.final_mean() / base if base != 0 else float("nan")
-            lines.append(",".join((algo, _f(cur.final_mean()), _f(cur.final_std()),
-                                   _f(ratio))))
-        (out / "compare.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        mean = np.array([results[a].curve.final_mean() for a in algorithms])
+        std = np.array([results[a].curve.final_std() for a in algorithms])
+        ratio = mean / mean[0] if mean[0] != 0 else np.full(mean.size, np.nan)
+        _write_rows(out / "compare.csv", COMPARE_HEADER,
+                    (algorithms, _floats(mean), _floats(std), _floats(ratio)))
         series = [Series(a, results[a].curve.t, results[a].curve.mean,
                          results[a].curve.std) for a in algorithms]
         write_chart(out / "compare.svg", series,

@@ -21,6 +21,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import inverse_cdf
+
 IDENTITY_TOL = 1e-10
 BOUND_TOL = 1e-12
 
@@ -173,8 +175,7 @@ def mc_excess_risk(context_sampler: Callable[[np.random.Generator], np.ndarray],
         x = context_sampler(rng)
         probs = np.asarray(kernel_fn(x), float)
         u = rng.random()
-        a = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-        a = min(a, probs.size - 1)
+        a = int(inverse_cdf(probs[None, :], np.array([u]))[0]) - 1
         delta = np.asarray(g_fn(x), float) - np.asarray(g_star_fn(x), float)
         contrast = delta[a] - float(probs @ delta)
         vals[i] = contrast * contrast

@@ -296,29 +296,58 @@ def test_monitor_adversarial_stream_matches_closed_form():
 
 
 def test_monitor_cache_follows_records_into_older_epochs():
-    """_near_failures keeps the completed epochs' arrays per epoch.  Recording
-    into an older epoch after a cached call must screen the current epoch's
-    rounds exactly as a monitor that first screens after that record."""
+    """Recording into an older epoch after a block check of the current
+    epoch must change the next block's outcome exactly as it changes that
+    of a monitor which never checked before the record."""
     delta = 0.05
-    cached, fresh = SafetyMonitor(0.0, 1.0, n_min=32), SafetyMonitor(0.0, 1.0, n_min=32)
-    for mon in (cached, fresh):
+    checked, fresh = SafetyMonitor(0.0, 1.0, n_min=32), SafetyMonitor(0.0, 1.0, n_min=32)
+    for mon in (checked, fresh):
         mon.record(1, np.full(40, 0.5))
         mon.record(2, np.full(40, 0.5))
     # Epoch 3 is played against the two short, loosely bounded epochs: safe.
-    assert cached.record_until_trigger(81, 3, delta, np.full(100, 0.45)) == (100, 0)
+    assert checked.record_until_trigger(81, 3, delta, np.full(100, 0.45)) == (100, 0)
     fresh.record(3, np.full(100, 0.45))
-    for mon in (cached, fresh):
+    for mon in (checked, fresh):
         mon.record(1, np.full(2000, 0.95))   # epoch 1 now certifies ~0.87
-    t, counts = np.arange(181, 681), np.arange(101, 601)
-    running = 45.0 + np.cumsum(np.full(500, 0.45))
-    screened = fresh._near_failures(t, 3, delta, counts, running)
-    assert screened.size
-    np.testing.assert_array_equal(cached._near_failures(t, 3, delta, counts, running),
-                                  screened)
-    got = cached.record_until_trigger(181, 3, delta, np.full(500, 0.45))
+    got = checked.record_until_trigger(181, 3, delta, np.full(500, 0.45))
     assert got == fresh.record_until_trigger(181, 3, delta, np.full(500, 0.45))
     assert got[1] == 1 and got[0] < 500
-    assert (cached.counts, cached.sums) == (fresh.counts, fresh.sums)
+    assert (checked.counts, checked.sums) == (fresh.counts, fresh.sums)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_min=st.integers(1, 64),
+       completed=st.lists(st.tuples(st.integers(1, 3000), st.floats(0.4, 1.0)),
+                          min_size=0, max_size=4),
+       c0=st.integers(0, 50), level=st.floats(0.0, 0.6),
+       n=st.integers(0, 400), delta=st.floats(0.001, 0.5))
+def test_block_monitor_matches_one_round_checks(seed, n_min, completed, c0,
+                                                level, n, delta):
+    """record_until_trigger on a block stops where record + check, one round
+    at a time, first fail, with the same fallback epoch and statistics.
+    Completed epochs may fall short of n_min; their rewards scatter around
+    one level each, the block's around its own, so the block triggers at
+    any position or not at all."""
+    rng = np.random.default_rng(seed)
+    spread = lambda mean, size: np.clip(mean + 0.1 * rng.standard_normal(size), 0.0, 1.0)
+    history = [spread(mean, count) for count, mean in completed]
+    epoch = len(completed) + 1
+    start, rewards = spread(level, c0), spread(level, n)
+    block, single = SafetyMonitor(0.0, 1.0, n_min), SafetyMonitor(0.0, 1.0, n_min)
+    for mon in (block, single):
+        for j, r in enumerate(history, start=1):
+            mon.record(j, r)
+        mon.record(epoch, start)
+    t0 = sum(len(r) for r in history) + c0 + 1
+    want = (n, 0)
+    for i, r in enumerate(rewards):
+        single.record(epoch, r)
+        ok, best = single.check(t0 + i, epoch, delta)
+        if not ok:
+            want = (i + 1, best)
+            break
+    assert block.record_until_trigger(t0, epoch, delta, rewards) == want
+    assert (block.counts, block.sums) == (single.counts, single.sums)
 
 
 # -- policy loop --------------------------------------------------------------------
@@ -362,8 +391,9 @@ def test_uniform_policy_never_fits():
     assert pol.fits == []
 
 
-def test_reward_outside_declared_range_raises():
-    pol = Policy("hte_igw", 2, 2, EpochSchedule("doubling", base=4),
+@pytest.mark.parametrize("algorithm", ("hte_igw", "uniform"))
+def test_reward_outside_declared_range_raises(algorithm):
+    pol = Policy(algorithm, 2, 2, EpochSchedule("doubling", base=4),
                  reward_range=(0.0, 1.0))
     rng = rng_stream(42, 2)
     x = np.array([1.0, 0.0])
