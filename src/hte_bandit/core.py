@@ -146,6 +146,12 @@ class FeatureMap:
         elif self.kind == CUSTOM:
             if self.fn is None or self.custom_dim < 1:
                 raise ValueError("custom maps need fn and custom_dim")
+            idx = self.custom_intercepts
+            if (not all(isinstance(j, (int, np.integer)) and not isinstance(j, bool)
+                        and 0 <= j < self.custom_dim for j in idx)
+                    or len(set(idx)) != len(idx)):
+                raise ValueError(f"custom intercepts {idx!r} must be distinct "
+                                 f"indices in 0..{self.custom_dim - 1}")
             dim = self.custom_dim
         else:
             raise ValueError(f"unknown feature map kind {self.kind!r}")

@@ -30,6 +30,7 @@ ACTIVE_TOL = 1e-10        # |theta_j| above this counts as an active coefficient
 EIGEN_CLIP = 1e-12        # relative eigenvalue cutoff for the min-norm fallback
 CD_TOL = 1e-8             # coordinate descent: max coefficient change per sweep
 CD_MAX_SWEEPS = 10_000
+CD_CHUNK = 64             # columns standardized at a time when building the CD design
 
 
 def _solve_psd(A: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -57,7 +58,7 @@ class LinearModel:
 
     def __init__(self, theta: np.ndarray, feature_map: FeatureMap, *,
                  sparsity: Optional[int] = None, rank_deficient: bool = False,
-                 converged: bool = True, lam: float = 0.0):
+                 converged: bool = True, lam: float = 0.0, sweeps: int = 0):
         self.theta = np.asarray(theta, dtype=float)
         self.feature_map = feature_map
         if sparsity is None:
@@ -66,6 +67,7 @@ class LinearModel:
         self.rank_deficient = rank_deficient
         self.converged = converged
         self.lam = lam
+        self.sweeps = sweeps      # coordinate-descent sweeps; 0 for ridge fits
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Scores for all K actions at context x."""
@@ -217,36 +219,61 @@ def _coordinate_descent(Z, y, lam, penalized):
 
     Columns are standardized to unit RMS internally; returned coefficients
     live on the original scale.  Dead (all-zero) columns keep coefficient 0.
+    Returns (theta, converged, sweeps).
+
+    The standardized design is held column-paired, W of shape
+    (ceil(p/2), n, 2) with column j at W[j // 2, :, j % 2], and built
+    CD_CHUNK columns at a time, so no n x p temporary sits beside Z and W.
+    A stride-2 column streams through memory, yet BLAS ddot sums it in the
+    same order as the stride-p column of Z; a unit-stride column would not,
+    so p == 1 keeps its unit-stride (1, n, 1) layout, as the (n, 1) Z has.
     """
     n, p = Z.shape
-    scales = np.sqrt(np.mean(Z * Z, axis=0))
+    W = np.zeros(((p + 1) // 2, n, 1 if p == 1 else 2))
+    scales = np.empty(p)
+    col_sq = np.empty(p)
+    # A lone one-column chunk would be reduced as a contiguous vector
+    # (pairwise summation) rather than row by row, so it joins the chunk
+    # before it.
+    bounds = list(range(0, p, CD_CHUNK)) + [p]
+    if len(bounds) > 2 and p - bounds[-2] == 1:
+        del bounds[-2]
+    for a, b in zip(bounds, bounds[1:]):
+        Zc = Z[:, a:b]
+        s = np.sqrt(np.mean(Zc * Zc, axis=0))
+        live = s > 0
+        Zc = Zc / np.where(live, s, 1.0)
+        Zc[:, ~live] = 0.0
+        scales[a:b] = s
+        col_sq[a:b] = np.einsum("ij,ij->j", Zc, Zc)
+        for t in range(W.shape[2]):
+            W[a // 2:(b + 1 - t) // 2, :, t] = Zc[:, t::2].T
+    cols = [W[j // 2, :, j % 2] for j in range(p)]
     live = scales > 0
-    Zs = Z / np.where(live, scales, 1.0)
-    Zs[:, ~live] = 0.0
-    col_sq = np.einsum("ij,ij->j", Zs, Zs)
+    live_cols = np.flatnonzero(live).tolist()
+    col_sq, penalized = col_sq.tolist(), penalized.tolist()
     thr = lam * n
-    theta = np.zeros(p)
+    theta = [0.0] * p
     r = y.copy()
     converged = False
-    for _ in range(CD_MAX_SWEEPS):
+    for sweeps in range(1, CD_MAX_SWEEPS + 1):
         delta = 0.0
-        for j in range(p):
-            if not live[j]:
-                continue
-            rho = Zs[:, j] @ r + col_sq[j] * theta[j]
+        for j in live_cols:
+            z, old = cols[j], theta[j]
+            rho = z @ r + col_sq[j] * old
             if penalized[j]:
                 new = math.copysign(max(abs(rho) - thr, 0.0), rho) / col_sq[j]
             else:
                 new = rho / col_sq[j]
-            if new != theta[j]:
-                r += Zs[:, j] * (theta[j] - new)
-                delta = max(delta, abs(new - theta[j]))
+            if new != old:
+                r += z * (old - new)
+                delta = max(delta, abs(new - old))
                 theta[j] = new
         if delta < CD_TOL:
             converged = True
             break
-    out = np.where(live, theta / np.where(live, scales, 1.0), 0.0)
-    return out, converged
+    out = np.where(live, np.array(theta) / np.where(live, scales, 1.0), 0.0)
+    return out, converged, sweeps
 
 
 def _lasso_fit(Z, y, feature_map, lam, scale):
@@ -258,9 +285,9 @@ def _lasso_fit(Z, y, feature_map, lam, scale):
     penalized = np.ones(feature_map.feature_dim, dtype=bool)
     for j in feature_map.intercept_indices():
         penalized[j] = False
-    theta, converged = _coordinate_descent(Z, y, lam, penalized)
+    theta, converged, sweeps = _coordinate_descent(Z, y, lam, penalized)
     sparsity = int(np.sum(np.abs(theta[penalized]) > ACTIVE_TOL))
-    return theta, lam, sparsity, converged
+    return theta, lam, sparsity, converged, sweeps
 
 
 def fit_rloss_lasso(samples: Sequence[LoggedSample], feature_map: FeatureMap,
@@ -268,18 +295,18 @@ def fit_rloss_lasso(samples: Sequence[LoggedSample], feature_map: FeatureMap,
     """L1-penalized R-loss fit.  Intercept coordinates are never penalized;
     `sparsity` counts active penalized coordinates only."""
     Z, y = residualized_design(samples, feature_map)
-    theta, lam, sparsity, converged = _lasso_fit(Z, y, feature_map, lam, scale)
+    theta, lam, sparsity, converged, sweeps = _lasso_fit(Z, y, feature_map, lam, scale)
     return TreatmentEffectModel(theta, feature_map, sparsity=sparsity,
-                                converged=converged, lam=lam)
+                                converged=converged, lam=lam, sweeps=sweeps)
 
 
 def fit_squared_error_lasso(samples: Sequence[LoggedSample], feature_map: FeatureMap,
                             lam="auto", scale: float = 1.0) -> RewardModel:
     """L1-penalized squared-error fit with the same conventions."""
     Z, y = chosen_design(samples, feature_map)
-    theta, lam, sparsity, converged = _lasso_fit(Z, y, feature_map, lam, scale)
+    theta, lam, sparsity, converged, sweeps = _lasso_fit(Z, y, feature_map, lam, scale)
     return RewardModel(theta, feature_map, sparsity=sparsity,
-                       converged=converged, lam=lam)
+                       converged=converged, lam=lam, sweeps=sweeps)
 
 
 def empirical_rloss(model: LinearModel, samples: Sequence[LoggedSample]) -> float:

@@ -202,6 +202,10 @@ class FitRecord:
     active_context: int
     gamma_next: float
     data_hash: str
+    lam: float                 # the fitted model's penalty; 0.0 for ridge fits
+    converged: bool
+    rank_deficient: bool
+    sweeps: int                # coordinate-descent sweeps; 0 for ridge fits
     nuisance_fallback: bool = False
     samples: Optional[SampleBatch] = None
 
@@ -400,5 +404,7 @@ class Policy:
             data_epoch=m, n=n, sparsity=model.sparsity,
             active_context=model.active_context_coefficients(),
             gamma_next=gamma, data_hash=_hash_batch(batch),
+            lam=model.lam, converged=model.converged,
+            rank_deficient=model.rank_deficient, sweeps=model.sweeps,
             nuisance_fallback=fallback,
             samples=batch if self.keep_fit_inputs else None))

@@ -119,6 +119,13 @@ def test_custom_map_contract():
         bad.featurize(np.zeros(2), 1)
 
 
+@pytest.mark.parametrize("intercepts", [(5,), (-1,), (1, 1), (1.0,)])
+def test_custom_map_rejects_bad_intercept_indices(intercepts):
+    fn = lambda x, a: np.concatenate([x, [float(a)]])
+    with pytest.raises(ValueError, match="intercepts"):
+        custom_map(fn, feature_dim=3, num_actions=2, raw_dim=2, intercepts=intercepts)
+
+
 # -- action distributions ------------------------------------------------------
 
 def test_distribution_validation():

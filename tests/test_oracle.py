@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from hte_bandit import oracle
 from hte_bandit.core import (
     ActionDistribution,
     LoggedSample,
@@ -19,6 +20,8 @@ from hte_bandit.core import (
 )
 from hte_bandit.environments import EnvironmentSpec, build_environment
 from hte_bandit.oracle import (
+    CD_MAX_SWEEPS,
+    CD_TOL,
     auto_lambda,
     chosen_design,
     cross_fit_mu,
@@ -448,6 +451,102 @@ def test_lasso_kkt_at_active_solution():
     model = fit_rloss_lasso(s, fm, lam=0.05)
     assert model.sparsity >= 1
     assert kkt_report(model, s, fm) <= 1e-6
+
+
+# -- coordinate descent, bit for bit -------------------------------------------
+
+def reference_coordinate_descent(Z, y, lam, penalized):
+    """The earlier layout of oracle._coordinate_descent, kept verbatim as
+    the reference: a C-order standardized copy Zs of Z, read one stride-p
+    column at a time."""
+    n, p = Z.shape
+    scales = np.sqrt(np.mean(Z * Z, axis=0))
+    live = scales > 0
+    Zs = Z / np.where(live, scales, 1.0)
+    Zs[:, ~live] = 0.0
+    col_sq = np.einsum("ij,ij->j", Zs, Zs)
+    thr = lam * n
+    theta = np.zeros(p)
+    r = y.copy()
+    converged = False
+    for _ in range(CD_MAX_SWEEPS):
+        delta = 0.0
+        for j in range(p):
+            if not live[j]:
+                continue
+            rho = Zs[:, j] @ r + col_sq[j] * theta[j]
+            if penalized[j]:
+                new = math.copysign(max(abs(rho) - thr, 0.0), rho) / col_sq[j]
+            else:
+                new = rho / col_sq[j]
+            if new != theta[j]:
+                r += Zs[:, j] * (theta[j] - new)
+                delta = max(delta, abs(new - theta[j]))
+                theta[j] = new
+        if delta < CD_TOL:
+            converged = True
+            break
+    out = np.where(live, theta / np.where(live, scales, 1.0), 0.0)
+    return out, converged
+
+
+def cd_inputs(n, p, seed, dead=(), tiny=(), free=()):
+    """A random (Z, y, penalized): columns on mixed scales, `dead` columns
+    all zero, `tiny` columns scaled so their squares reach the subnormal
+    range or underflow, `free` coordinates unpenalized."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, p)) * rng.choice([0.01, 1.0, 30.0], size=p)
+    Z[:, list(tiny)] *= 1e-160
+    Z[:, list(dead)] = 0.0
+    y = rng.standard_normal(n) + np.sign(Z[:, :3]).sum(axis=1)
+    penalized = np.ones(p, dtype=bool)
+    penalized[list(free)] = False
+    return Z, y, penalized
+
+
+# (n, p, lam, dead, tiny, free): p in {1, 2, 3}, odd p, p > 64 and not a
+# multiple of 64 (65 and 129 end on a lone column), n = 1 and n >= 200.
+CD_CASES = [
+    (1, 1, 0.0, (), (), ()),
+    (40, 1, 0.05, (), (), ()),
+    (300, 1, 0.0, (), (), ()),
+    (250, 1, 0.02, (), (), (0,)),
+    (1, 3, 0.0, (), (), ()),
+    (30, 2, 0.0, (), (), (1,)),
+    (30, 3, 0.1, (1,), (), ()),
+    (50, 5, 0.02, (), (2,), (4,)),
+    (1, 65, 0.05, (), (), ()),
+    (200, 33, 0.0, (), (7,), ()),
+    (250, 65, 0.02, (3,), (), (64,)),
+    (300, 97, 0.05, (10, 96), (50,), ()),
+    (220, 129, 0.01, (), (0,), (128,)),
+    (300, 130, 0.0, (64,), (), (0, 65)),
+    (210, 193, 0.03, (5,), (100, 101), (192,)),
+]
+
+
+@pytest.mark.parametrize("n,p,lam,dead,tiny,free", CD_CASES)
+def test_coordinate_descent_matches_reference_bits(n, p, lam, dead, tiny, free):
+    Z, y, penalized = cd_inputs(n, p, seed=n * 1000 + p, dead=dead, tiny=tiny, free=free)
+    want, want_converged = reference_coordinate_descent(Z, y, lam, penalized)
+    got, converged, sweeps = oracle._coordinate_descent(Z, y, lam, penalized)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert converged == want_converged
+    assert 1 <= sweeps <= CD_MAX_SWEEPS
+
+
+@pytest.mark.parametrize("n,p", [(300, 1), (200, 65)])
+def test_coordinate_descent_sweep_cap_matches_reference(monkeypatch, n, p):
+    """Both stop unconverged at the same bits when capped at one sweep, where
+    a p = 1 coefficient is one column dot product divided by col_sq."""
+    monkeypatch.setattr(oracle, "CD_MAX_SWEEPS", 1)
+    monkeypatch.setitem(globals(), "CD_MAX_SWEEPS", 1)
+    for seed in range(8):
+        Z, y, penalized = cd_inputs(n, p, seed)
+        want, want_converged = reference_coordinate_descent(Z, y, 0.0, penalized)
+        got, converged, sweeps = oracle._coordinate_descent(Z, y, 0.0, penalized)
+        assert (converged, sweeps) == (want_converged, 1) == (False, 1)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # -- empirical R-loss --------------------------------------------------------------

@@ -508,6 +508,35 @@ def test_model_selected_gamma_uses_reported_sparsity():
     assert rec.gamma_next == gamma_schedule(rec.n, 2, cfg.delta / 2, 2, rate)
 
 
+@pytest.mark.parametrize("algorithm", ["hte_igw", "mod_hte_igw"])
+def test_fit_records_copy_the_deployed_model_fields(algorithm):
+    """Each FitRecord carries lam, converged, rank_deficient and sweeps of the
+    model its refit deployed: a ridge fit has lam 0 and 0 sweeps, a lasso
+    fit its penalty and at least one sweep."""
+    cfg = RunConfig(scenario="lin_const", d=12, horizon=600, algorithm=algorithm,
+                    schedule_kind="doubling", schedule_base=64, rate_const=0.01,
+                    lasso_const=1.5, seeds=(4,))
+    env = build_environment(cfg.env_spec(4))
+    pol = Policy(algorithm, 12, 2, cfg.schedule(), cfg.delta, seed=4,
+                 ridge_scale=cfg.ridge_scale, rate_const=0.01, lasso_const=1.5,
+                 n_min=32, reward_range=cfg.reward_range())
+    rc, rn, ra = (rng_stream(4, s) for s in (0, 1, 2))
+    for t in range(1, 601):
+        rnd = env.sample_round(rc, rn, t)
+        a, dist, _ = pol.act(t, rnd.context, ra)
+        pol.record(t, rnd.context, a, dist, rnd.reward(a))
+
+    assert [f.data_epoch for f in pol.fits] == [1, 2, 3]
+    for rec in pol.fits:
+        model = pol.kernels[rec.data_epoch + 1][0]
+        assert (rec.lam, rec.converged, rec.rank_deficient, rec.sweeps) == (
+            model.lam, model.converged, model.rank_deficient, model.sweeps)
+        if algorithm == "hte_igw":
+            assert (rec.lam, rec.sweeps) == (0.0, 0)
+        else:
+            assert rec.lam > 0.0 and rec.converged and rec.sweeps >= 1
+
+
 def test_identical_runs_produce_identical_sequences():
     cfg = RunConfig(scenario="lin_lin", d=4, horizon=600, algorithm="hte_igw",
                     schedule_kind="doubling", schedule_base=64,
