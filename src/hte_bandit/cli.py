@@ -67,18 +67,13 @@ def kernel_check(seed: int = 2, draws: int = 100_000) -> Check:
     and the per-action floor 1/(K + gamma * max_gap).  Each chunk of draws
     is checked per K as one (n, K) block, with one gamma per row."""
     rng = rng_stream(seed, STREAM_VALIDATION)
-    # 9.0 * random() is uniform(0.0, 9.0) bit for bit: numpy computes
-    # low + (high - low) * next_double from the same stream.
-    integers, standard_normal, random = rng.integers, rng.standard_normal, rng.random
     ok = True
-    chunk = 10_000   # draws held at once; row i of normals holds draw i's K <= 6
+    chunk = 10_000   # draws held at once; draw i scores with row i's first K
     for start in range(0, draws, chunk):
         n = min(chunk, draws - start)
-        ks, normals, exponents = np.empty(n, dtype=int), np.empty((n, 6)), np.empty(n)
-        for i in range(n):
-            K = ks[i] = integers(2, 7)
-            standard_normal(out=normals[i, :K])
-            exponents[i] = 9.0 * random()
+        ks = rng.integers(2, 7, size=n)
+        normals = rng.standard_normal((n, 6))
+        exponents = 9.0 * rng.random(n)
         for K in range(2, 7):
             scores = 3.0 * normals[ks == K, :K]
             gamma = np.exp(exponents[ks == K])
@@ -135,36 +130,30 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command == "validate":
+            checks = validation_checks(args.seed)
+            failed = 0
+            for name, ok, stat in checks:
+                print(f"{'PASS' if ok else 'FAIL'}  {name}: {stat}")
+                failed += 0 if ok else 1
+            print(f"{len(checks) - failed}/{len(checks)} checks passed")
+            return 0 if failed == 0 else 1
+        cfg = load_config(args.config, args.overrides)
         if args.command == "run":
-            cfg = load_config(args.config, args.overrides)
-            res = run_experiment(cfg)
-            final = res.curve.final_mean()
+            final = run_experiment(cfg).curve.final_mean()
             print(f"{cfg.algorithm} on {cfg.scenario}: "
                   f"final mean cumulative regret {final:.3f} "
                   f"({len(cfg.seeds)} seeds, T={cfg.horizon})")
-            print(f"artifacts written to {cfg.output_dir}/")
-            return 0
-        if args.command == "compare":
-            cfg = load_config(args.config, args.overrides)
+        else:
             algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-            if not algos:
-                raise ConfigError("empty algorithm list")
             results = compare(cfg, algos)
             base = results[algos[0]].curve.final_mean()
             for a in algos:
                 final = results[a].curve.final_mean()
                 ratio = final / base if base else float("nan")
                 print(f"{a:>12}: final regret {final:9.3f}  ratio {ratio:.3f}")
-            print(f"artifacts written to {cfg.output_dir}/")
-            return 0
-        # validate
-        checks = validation_checks(args.seed)
-        failed = 0
-        for name, ok, stat in checks:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}: {stat}")
-            failed += 0 if ok else 1
-        print(f"{len(checks) - failed}/{len(checks)} checks passed")
-        return 0 if failed == 0 else 1
+        print(f"artifacts written to {cfg.output_dir}/")
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -90,6 +90,10 @@ class RunConfig:
             raise ConfigError("at least one seed required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be nonnegative")
+        if not self.output_dir:
+            raise ConfigError("output_dir must not be empty")
         if self.horizon < 0:
             raise ConfigError("horizon must be nonnegative")
         try:

@@ -141,12 +141,9 @@ def cross_fit_mu(samples: Sequence[LoggedSample], num_folds: int = 2,
 
     mu = np.empty(n)
     fold_models = []
-    eye = np.eye(d + 1)
     for k in range(num_folds):
         train = fold_of != k
-        # One bound array on both sides, so numpy takes the syrk path.
-        Xt, rt = X[train], rewards[train]
-        beta, _ = _solve_psd(Xt.T @ Xt + ridge * eye, Xt.T @ rt)
+        beta, _ = _ridge_fit(X[train], rewards[train], ridge)
         fold_models.append(beta)
         val = fold_of == k
         mu[val] = X[val] @ beta
@@ -184,7 +181,7 @@ def chosen_design(samples: Sequence[LoggedSample],
 def _ridge_fit(Z, y, ridge):
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    A = Z.T @ Z
+    A = Z.T @ Z   # one bound array on both sides, so numpy takes the syrk path
     A[np.diag_indices_from(A)] += ridge
     return _solve_psd(A, Z.T @ y)
 

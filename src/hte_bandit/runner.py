@@ -2,17 +2,18 @@
 
 Per seed, the environment draws (contexts, noise, ground truth) come from
 streams that never see policy randomness, so every algorithm replays the
-identical reward landscape and comparisons are paired.  Workers only
-compute; all files are written from the coordinating process in seed
-order, which keeps repeated invocations byte-identical regardless of the
-worker count (capped by HTE_BANDIT_THREADS).
+identical reward landscape and comparisons are paired.  Every (config,
+seed) job of one command shares one process pool.  Workers only compute;
+all files are written from the coordinating process in seed order, which
+keeps repeated invocations byte-identical regardless of the worker count
+(capped by HTE_BANDIT_THREADS).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -56,7 +57,6 @@ class RegretCurve:
     t: np.ndarray
     mean: np.ndarray
     std: np.ndarray
-    per_seed: np.ndarray   # (num_seeds, T)
 
     def final_mean(self) -> float:
         return float(self.mean[-1]) if self.t.size else 0.0
@@ -140,45 +140,18 @@ def _play_block(env, policy, rngs, t0: int, n: int, res: RunResult) -> None:
 def aggregate_curve(results: Sequence[RunResult]) -> RegretCurve:
     if not results or results[0].t.size == 0:
         empty = np.array([])
-        return RegretCurve(empty, empty, empty, np.empty((len(results), 0)))
+        return RegretCurve(empty, empty, empty)
     per_seed = np.stack([r.cum_expected_regret for r in results])
-    return RegretCurve(results[0].t, per_seed.mean(axis=0),
-                       per_seed.std(axis=0), per_seed)
+    return RegretCurve(results[0].t, per_seed.mean(axis=0), per_seed.std(axis=0))
 
 
-def _worker(args) -> RunResult:
-    config, seed = args
-    return run_single(config, seed)
-
-
-def _worker_count(num_seeds: int) -> int:
+def _worker_count(jobs: int) -> int:
     cap = os.environ.get("HTE_BANDIT_THREADS")
     try:
         limit = int(cap) if cap else (os.cpu_count() or 1)
     except ValueError:
         raise ConfigError(f"HTE_BANDIT_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(num_seeds, os.cpu_count() or 1, limit))
-
-
-def _prepare(config: RunConfig, dirs: Sequence) -> int:
-    """The worker count, and dirs created, before any seed runs: a bad
-    HTE_BANDIT_THREADS or an output directory that cannot be created is a
-    configuration error, reported before anything is simulated or written."""
-    workers = _worker_count(len(config.seeds))
-    for d in dirs:
-        try:
-            Path(d).mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise ConfigError(f"cannot create output directory {d}: {e}") from e
-    return workers
-
-
-def run_seeds(config: RunConfig, workers: int) -> List[RunResult]:
-    seeds = list(config.seeds)
-    if workers <= 1:
-        return [run_single(config, s) for s in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, [(config, s) for s in seeds]))
+    return max(1, min(jobs, os.cpu_count() or 1, limit))
 
 
 # -- file emission -----------------------------------------------------------
@@ -211,51 +184,71 @@ def write_curve_csv(path, curve: RegretCurve) -> None:
                 (_ints(curve.t), _floats(curve.mean), _floats(curve.std)))
 
 
+def _experiments(configs: Sequence[RunConfig],
+                 write: bool) -> List[ExperimentResult]:
+    """Every (config, seed) job on one pool, config-major and in seed order;
+    then each config aggregated and, if write, its CSVs and SVG emitted.
+
+    The worker count and the output directories come first: a bad
+    HTE_BANDIT_THREADS or a directory that cannot be created is a
+    configuration error, reported before anything is simulated or written.
+    """
+    cfgs = [c for c in configs for _ in c.seeds]
+    seeds = [s for c in configs for s in c.seeds]
+    workers = _worker_count(len(seeds))
+    for d in [c.output_dir for c in configs] if write else []:
+        try:
+            Path(d).mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise ConfigError(f"cannot create output directory {d}: {e}") from e
+    if workers <= 1:
+        runs = iter(list(map(run_single, cfgs, seeds)))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            runs = iter(list(pool.map(run_single, cfgs, seeds)))
+    experiments = []
+    for config in configs:
+        results = [next(runs) for _ in config.seeds]
+        curve = aggregate_curve(results)
+        if write:
+            out = Path(config.output_dir)
+            for r in results:
+                write_run_csv(out / f"run_{r.seed}.csv", r)
+            write_curve_csv(out / "curve.csv", curve)
+            series = [Series(config.algorithm, curve.t, curve.mean, curve.std)]
+            write_chart(out / "curve.svg", series,
+                        title=f"{config.scenario}: cumulative expected regret",
+                        x_label="round", y_label="cumulative regret")
+        experiments.append(ExperimentResult(config, results, curve))
+    return experiments
+
+
 def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
     """Run every seed, aggregate, and (optionally) emit CSV + SVG artifacts."""
-    workers = _prepare(config, [config.output_dir] if write else [])
-    results = run_seeds(config, workers)
-    curve = aggregate_curve(results)
-    if write:
-        out = Path(config.output_dir)
-        for r in results:
-            write_run_csv(out / f"run_{r.seed}.csv", r)
-        write_curve_csv(out / "curve.csv", curve)
-        series = [Series(config.algorithm, curve.t, curve.mean, curve.std)]
-        write_chart(out / "curve.svg", series,
-                    title=f"{config.scenario}: cumulative expected regret",
-                    x_label="round", y_label="cumulative regret")
-    return ExperimentResult(config, results, curve)
+    return _experiments([config], write)[0]
 
 
-def compare(config: RunConfig, algorithms: Sequence[str],
-            write: bool = True) -> Dict[str, ExperimentResult]:
-    """Paired comparison: same environment seeds, one run set per algorithm."""
-    from dataclasses import replace
-
-    if len(algorithms) < 1:
-        raise ValueError("need at least one algorithm")
+def compare(config: RunConfig, algorithms: Sequence[str]) -> Dict[str, ExperimentResult]:
+    """Paired comparison: same environment seeds, one run set per algorithm,
+    every run on one pool; writes each run set under output_dir/<algorithm>/
+    and compare.csv / compare.svg beside them."""
+    if not algorithms:
+        raise ConfigError("empty algorithm list")
     out = Path(config.output_dir)
     # Validate every configuration before any run starts or writes a file.
-    subs = [replace(config, algorithm=algo,
-                    output_dir=str(out / algo) if write else config.output_dir
-                    ).validate() for algo in algorithms]
-    if write:
-        _prepare(config, [out] + [sub.output_dir for sub in subs])
-    results: Dict[str, ExperimentResult] = {
-        sub.algorithm: run_experiment(sub, write=write) for sub in subs}
-
-    if write:
-        mean = np.array([results[a].curve.final_mean() for a in algorithms])
-        std = np.array([results[a].curve.final_std() for a in algorithms])
-        ratio = mean / mean[0] if mean[0] != 0 else np.full(mean.size, np.nan)
-        _write_rows(out / "compare.csv", COMPARE_HEADER,
-                    (algorithms, _floats(mean), _floats(std), _floats(ratio)))
-        series = [Series(a, results[a].curve.t, results[a].curve.mean,
-                         results[a].curve.std) for a in algorithms]
-        write_chart(out / "compare.svg", series,
-                    title=f"{config.scenario}: algorithm comparison",
-                    x_label="round", y_label="cumulative regret")
+    subs = [replace(config, algorithm=algo, output_dir=str(out / algo)).validate()
+            for algo in algorithms]
+    results = dict(zip(algorithms, _experiments(subs, True)))
+    mean = np.array([results[a].curve.final_mean() for a in algorithms])
+    std = np.array([results[a].curve.final_std() for a in algorithms])
+    ratio = mean / mean[0] if mean[0] != 0 else np.full(mean.size, np.nan)
+    _write_rows(out / "compare.csv", COMPARE_HEADER,
+                (algorithms, _floats(mean), _floats(std), _floats(ratio)))
+    series = [Series(a, results[a].curve.t, results[a].curve.mean,
+                     results[a].curve.std) for a in algorithms]
+    write_chart(out / "compare.svg", series,
+                title=f"{config.scenario}: algorithm comparison",
+                x_label="round", y_label="cumulative regret")
     return results
 
 

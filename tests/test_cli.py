@@ -70,6 +70,9 @@ def test_config_file_and_overrides(tmp_path):
     ["policy.algorithm=mod_igw", "oracle.lasso_const=-1"],
     ["env.sigma=2"],                          # rewards leave (-0.5, 2.5)
     ["policy.r_lo=-inf"],
+    ["run.seeds=-1"],
+    ["run.seeds=1,-2"],                       # a run builds only seeds[0] to validate
+    ["run.output_dir="],                      # as from an unset shell variable
 ])
 def test_bad_config_raises(overrides):
     with pytest.raises(ConfigError):
@@ -85,6 +88,7 @@ def test_cli_maps_config_error_to_exit_2(capsys):
 @pytest.mark.parametrize("threads,args", [
     ("abc", ["run"]),
     (None, ["compare", "--algos", "uniform,thompson"]),
+    (None, ["compare", "--algos", "igw", "--set", "run.seeds=-1"]),
 ])
 def test_cli_rejects_before_writing(tmp_path, monkeypatch, capsys, threads, args):
     if threads is not None:
@@ -209,6 +213,36 @@ def test_compare_ratio_and_artifacts(tmp_path, capsys):
         assert (out / sub / "curve.csv").exists()
     root = ET.parse(out / "compare.svg").getroot()
     assert root.tag.endswith("svg")
+
+
+def test_compare_runs_on_one_pool_with_the_same_bytes(tmp_path, monkeypatch):
+    """Every (algorithm, seed) job of a compare shares one pool, and the
+    files are byte-identical whether it runs serially or on two workers."""
+    from hte_bandit import runner
+
+    pools = []
+
+    class CountingPool(runner.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", CountingPool)
+    algos = ("hte_igw", "igw", "uniform")
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HTE_BANDIT_THREADS", threads)
+        assert cli.main(["compare", "--algos", ",".join(algos),
+                         "--set", "env.scenario=nonstationary",
+                         "--set", "env.horizon=300", "--set", "env.d=3",
+                         "--set", "schedule.base=16", "--set", "run.seeds=4",
+                         "--set", f"run.output_dir={tmp_path / threads}"]) == 0
+    assert pools == [2]
+    files = sorted(p.relative_to(tmp_path / "1")
+                   for p in (tmp_path / "1").rglob("*") if p.is_file())
+    assert len(files) == 2 + 3 * len(algos)
+    for name in files:
+        assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name,
+                           shallow=False), name
 
 
 def test_uniform_regret_slope_matches_oracle(tmp_path):

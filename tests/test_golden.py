@@ -12,12 +12,14 @@ the sha256 of theta's bytes, float.hex(lam), the sparsity and whether
 coordinate descent converged.
 
 A change that alters these bytes on purpose regenerates both files
-(`PYTHONPATH=src python tests/test_golden.py`) and says why.
+(`PYTHONPATH=src python tests/test_golden.py`, which pins one BLAS thread
+as the suite does) and says why.
 """
 
 import hashlib
 from pathlib import Path
 
+import conftest  # noqa: F401  (one BLAS thread, also when run as a script)
 import numpy as np
 
 from hte_bandit import cli

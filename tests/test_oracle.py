@@ -5,6 +5,7 @@ double loops, explicit normal equations.  The fast paths must match them.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,18 @@ def test_cross_fit_clips_to_reward_range():
                for _ in range(10)]
     est, _ = cross_fit_mu(samples, reward_range=(0.0, 1.0))
     assert np.all(est.mu_hat == 1.0)
+
+
+def test_cross_fit_infinite_ridge_gives_the_zero_model_without_warnings():
+    """An infinite penalty touches only the diagonal: no inf * 0 turns the
+    off-diagonal normal equations into NaN."""
+    rng = rng_stream(6, 0)
+    samples = [logged(rng.standard_normal(3), 1, [0.5, 0.5],
+                      float(rng.standard_normal())) for _ in range(20)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, _ = cross_fit_mu(samples, num_folds=2, ridge=np.inf)
+    assert np.all(est.mu_hat == 0.0)
 
 
 def test_cross_fit_rejects_bad_arguments():

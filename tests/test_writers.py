@@ -65,7 +65,7 @@ def test_csv_writers_match_per_value_formatting(tmp_path, T):
     res = awkward_result(T)
     write_run_csv(tmp_path / "run.csv", res)
     assert (tmp_path / "run.csv").read_bytes() == reference_run_csv(res).encode()
-    curve = RegretCurve(res.t, res.gamma, res.reward, res.reward[None, :])
+    curve = RegretCurve(res.t, res.gamma, res.reward)
     write_curve_csv(tmp_path / "curve.csv", curve)
     assert (tmp_path / "curve.csv").read_bytes() == reference_curve_csv(curve).encode()
     if T == 0:
