@@ -1,14 +1,13 @@
 """Contextual bandit simulator with treatment-effect regression oracles."""
 
 from .core import (ActionDistribution, EpochSchedule, FeatureMap, LoggedSample,
-                   SampleBatch, SeededRng, arm_block_map, custom_map, rng_stream,
+                   SampleBatch, arm_block_map, custom_map, rng_stream,
                    shared_intercept_map)
 from .environments import (Environment, EnvironmentSpec, GroundTruth, Round, Rounds,
                            build_environment, expected_regret, optimal_action)
-from .oracle import (NuisanceEstimate, RewardModel, TreatmentEffectModel,
-                     cross_fit_mu, empirical_rloss, estimation_rate, fit_rloss,
-                     fit_rloss_lasso, fit_squared_error, fit_squared_error_lasso,
-                     zero_model)
+from .oracle import (LinearModel, NuisanceEstimate, cross_fit_mu, empirical_rloss,
+                     estimation_rate, fit_rloss, fit_rloss_lasso, fit_squared_error,
+                     fit_squared_error_lasso, zero_model)
 from .policy import ALGORITHMS, Policy, SafetyMonitor, gamma_schedule, igw_kernel
 from .validation import (FiniteInstance, exact_rloss_risk, excess_rloss_risk,
                          excess_risk_identity_gap, gap_identity_value,

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-# Stream ids for SeededRng.  Each consumer of randomness gets its own stream
+# Stream ids for rng_stream.  Each consumer of randomness gets its own stream
 # so that e.g. swapping the algorithm never perturbs the context sequence.
 STREAM_CONTEXT = 0
 STREAM_NOISE = 1
@@ -24,25 +24,15 @@ STREAM_PARAMS = 4
 STREAM_VALIDATION = 5
 
 
-@dataclass(frozen=True)
-class SeededRng:
-    """A (seed, stream) pair naming one reproducible random stream.
+def rng_stream(seed: int, stream: int) -> np.random.Generator:
+    """The generator of one reproducible (seed, stream) pair.
 
     Distinct stream ids under the same seed give statistically independent
     generators (SeedSequence spawn keys), identical pairs give identical
     sequences on every platform.
     """
-
-    seed: int
-    stream: int = 0
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        return np.random.Generator(np.random.PCG64(ss))
-
-
-def rng_stream(seed: int, stream: int) -> np.random.Generator:
-    return SeededRng(seed, stream).generator()
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 class ActionDistribution:
@@ -243,12 +233,16 @@ class FeatureMap:
             return (self.feature_dim - 1,)
         return self.custom_intercepts
 
+    def penalized(self) -> np.ndarray:
+        """Boolean mask of the non-intercept coordinates, the ones the lasso
+        fits penalize."""
+        mask = np.ones(self.feature_dim, dtype=bool)
+        mask[list(self.intercept_indices())] = False
+        return mask
+
     def context_coefficients(self, theta: np.ndarray, tol: float = 1e-10) -> int:
         """Count of active (|theta_j| > tol) non-intercept coordinates."""
-        mask = np.ones(self.feature_dim, dtype=bool)
-        for j in self.intercept_indices():
-            mask[j] = False
-        return int(np.sum(np.abs(theta[mask]) > tol))
+        return int(np.sum(np.abs(theta[self.penalized()]) > tol))
 
 
 def arm_block_map(raw_dim: int, num_actions: int) -> FeatureMap:

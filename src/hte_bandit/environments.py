@@ -104,12 +104,6 @@ class Rounds:
         return self.mean_rewards[:n].max(axis=1) - self._chosen(actions)
 
 
-def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<x_i, v> per row as one BLAS dot call each, the call a single
-    vector makes, so each entry equals the one-row product bit for bit."""
-    return (X[:, None, :] @ v[:, None])[:, 0, 0]
-
-
 def _unit_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n rows uniform on the unit sphere: each row is the next standard
     normal d-vector of the stream whose norm exceeds 1e-12, normalized."""
@@ -185,12 +179,12 @@ class Environment:
         if s == "lin_lin":
             h = np.zeros(X.shape[0])
         elif s == "lin_const":
-            h = 1.0 + _row_dots(X, tr.theta)
+            h = 1.0 + row_products(tr.theta[None, :], X)[:, 0]
         elif s == "nonstationary":
             # math.sin per round, as numpy's sin need not round alike.
             angle = 2.0 * math.pi * np.broadcast_to(t, X.shape[:1]) / self.spec.period
             drift = [self.spec.amplitude * math.sin(a) for a in angle.tolist()]
-            h = 1.0 + _row_dots(X, tr.theta) + np.array(drift)
+            h = 1.0 + row_products(tr.theta[None, :], X)[:, 0] + np.array(drift)
         else:  # step_lin / perturbed confounder
             peak = (1.0 + row_products(tr.thetas, X)).max(axis=1)
             h = np.where(X[:, 0] <= 0.25, 0.0, -peak)

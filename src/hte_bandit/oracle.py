@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -54,7 +54,13 @@ def _solve_psd(A: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, bool]:
 
 
 class LinearModel:
-    """Linear scorer over a feature map; base for both oracle outputs."""
+    """Linear scorer over a feature map: the result of every fit.
+
+    An R-loss fit's scores are meaningful only as between-action gaps; a
+    squared-error fit's scores estimate the rewards themselves.  lam and
+    sweeps are the lasso penalty and coordinate-descent sweeps, 0 for
+    ridge fits.
+    """
 
     def __init__(self, theta: np.ndarray, feature_map: FeatureMap, *,
                  sparsity: Optional[int] = None, rank_deficient: bool = False,
@@ -67,7 +73,7 @@ class LinearModel:
         self.rank_deficient = rank_deficient
         self.converged = converged
         self.lam = lam
-        self.sweeps = sweeps      # coordinate-descent sweeps; 0 for ridge fits
+        self.sweeps = sweeps
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Scores for all K actions at context x."""
@@ -77,27 +83,16 @@ class LinearModel:
         return self.feature_map.context_coefficients(self.theta, ACTIVE_TOL)
 
 
-class TreatmentEffectModel(LinearModel):
-    """Output of an R-loss fit; only between-action score gaps are meaningful."""
-
-
-class RewardModel(LinearModel):
-    """Output of a squared-error fit of raw rewards."""
-
-
-def zero_model(feature_map: FeatureMap) -> TreatmentEffectModel:
-    return TreatmentEffectModel(np.zeros(feature_map.feature_dim), feature_map,
-                                sparsity=0)
+def zero_model(feature_map: FeatureMap) -> LinearModel:
+    return LinearModel(np.zeros(feature_map.feature_dim), feature_map, sparsity=0)
 
 
 @dataclass
 class NuisanceEstimate:
-    """Cross-fitting artifacts: per-fold coefficient vectors and the
-    fold assignment, kept so tests can verify out-of-fold discipline."""
+    """Cross-fitting artifacts: the fold assignment, kept so tests can
+    verify out-of-fold discipline, and the out-of-fold predictions."""
 
-    fold_models: List[np.ndarray]
     fold_of: np.ndarray
-    num_folds: int
     mu_hat: np.ndarray
     fallback: bool = False
 
@@ -129,7 +124,7 @@ def cross_fit_mu(samples: Sequence[LoggedSample], num_folds: int = 2,
     if n < num_folds:
         mu0 = 0.5 * (reward_range[0] + reward_range[1]) if reward_range else float(rewards.mean())
         mu = np.full(n, mu0)
-        est = NuisanceEstimate([], np.zeros(n, dtype=int), num_folds, mu, fallback=True)
+        est = NuisanceEstimate(np.zeros(n, dtype=int), mu, fallback=True)
         return est, batch.with_mu(mu)
 
     perm = rng_stream(fold_seed, STREAM_FOLD).permutation(n)
@@ -140,18 +135,15 @@ def cross_fit_mu(samples: Sequence[LoggedSample], num_folds: int = 2,
     X[:, d] = 1.0
 
     mu = np.empty(n)
-    fold_models = []
     for k in range(num_folds):
         train = fold_of != k
         beta, _ = _ridge_fit(X[train], rewards[train], ridge)
-        fold_models.append(beta)
         val = fold_of == k
         mu[val] = X[val] @ beta
     if reward_range is not None:
         np.clip(mu, reward_range[0], reward_range[1], out=mu)
 
-    est = NuisanceEstimate(fold_models, fold_of, num_folds, mu)
-    return est, batch.with_mu(mu)
+    return NuisanceEstimate(fold_of, mu), batch.with_mu(mu)
 
 
 def residualized_design(samples: Sequence[LoggedSample],
@@ -187,19 +179,19 @@ def _ridge_fit(Z, y, ridge):
 
 
 def fit_rloss(samples: Sequence[LoggedSample], feature_map: FeatureMap,
-              ridge: float = 0.0) -> TreatmentEffectModel:
+              ridge: float = 0.0) -> LinearModel:
     """Exact minimizer of sum_t (y_t - <theta, z_t>)^2 + ridge ||theta||^2."""
     Z, y = residualized_design(samples, feature_map)
     theta, deficient = _ridge_fit(Z, y, ridge)
-    return TreatmentEffectModel(theta, feature_map, rank_deficient=deficient)
+    return LinearModel(theta, feature_map, rank_deficient=deficient)
 
 
 def fit_squared_error(samples: Sequence[LoggedSample], feature_map: FeatureMap,
-                      ridge: float = 0.0) -> RewardModel:
+                      ridge: float = 0.0) -> LinearModel:
     """Ridge least squares of raw reward on phi(x_t, a_t)."""
     Z, y = chosen_design(samples, feature_map)
     theta, deficient = _ridge_fit(Z, y, ridge)
-    return RewardModel(theta, feature_map, rank_deficient=deficient)
+    return LinearModel(theta, feature_map, rank_deficient=deficient)
 
 
 def auto_lambda(Z: np.ndarray, y: np.ndarray, scale: float = 1.0) -> float:
@@ -273,37 +265,30 @@ def _coordinate_descent(Z, y, lam, penalized):
     return out, converged, sweeps
 
 
-def _lasso_fit(Z, y, feature_map, lam, scale):
+def _lasso_fit(Z, y, feature_map, lam, scale) -> LinearModel:
+    """Lasso fit of y on Z; intercept coordinates are never penalized and
+    `sparsity` counts active penalized coordinates only."""
     if lam == "auto":
         lam = auto_lambda(Z, y, scale)
     lam = float(lam)
     if lam < 0:
         raise ValueError("lasso penalty must be nonnegative")
-    penalized = np.ones(feature_map.feature_dim, dtype=bool)
-    for j in feature_map.intercept_indices():
-        penalized[j] = False
-    theta, converged, sweeps = _coordinate_descent(Z, y, lam, penalized)
-    sparsity = int(np.sum(np.abs(theta[penalized]) > ACTIVE_TOL))
-    return theta, lam, sparsity, converged, sweeps
+    theta, converged, sweeps = _coordinate_descent(Z, y, lam, feature_map.penalized())
+    return LinearModel(theta, feature_map,
+                       sparsity=feature_map.context_coefficients(theta, ACTIVE_TOL),
+                       converged=converged, lam=lam, sweeps=sweeps)
 
 
 def fit_rloss_lasso(samples: Sequence[LoggedSample], feature_map: FeatureMap,
-                    lam="auto", scale: float = 1.0) -> TreatmentEffectModel:
-    """L1-penalized R-loss fit.  Intercept coordinates are never penalized;
-    `sparsity` counts active penalized coordinates only."""
-    Z, y = residualized_design(samples, feature_map)
-    theta, lam, sparsity, converged, sweeps = _lasso_fit(Z, y, feature_map, lam, scale)
-    return TreatmentEffectModel(theta, feature_map, sparsity=sparsity,
-                                converged=converged, lam=lam, sweeps=sweeps)
+                    lam="auto", scale: float = 1.0) -> LinearModel:
+    """L1-penalized R-loss fit (see _lasso_fit)."""
+    return _lasso_fit(*residualized_design(samples, feature_map), feature_map, lam, scale)
 
 
 def fit_squared_error_lasso(samples: Sequence[LoggedSample], feature_map: FeatureMap,
-                            lam="auto", scale: float = 1.0) -> RewardModel:
-    """L1-penalized squared-error fit with the same conventions."""
-    Z, y = chosen_design(samples, feature_map)
-    theta, lam, sparsity, converged, sweeps = _lasso_fit(Z, y, feature_map, lam, scale)
-    return RewardModel(theta, feature_map, sparsity=sparsity,
-                       converged=converged, lam=lam, sweeps=sweeps)
+                            lam="auto", scale: float = 1.0) -> LinearModel:
+    """L1-penalized squared-error fit (see _lasso_fit)."""
+    return _lasso_fit(*chosen_design(samples, feature_map), feature_map, lam, scale)
 
 
 def empirical_rloss(model: LinearModel, samples: Sequence[LoggedSample]) -> float:

@@ -31,7 +31,12 @@ from .oracle import (LinearModel, cross_fit_mu, estimation_rate,
                      fit_rloss, fit_rloss_lasso, fit_squared_error,
                      fit_squared_error_lasso, zero_model)
 
-ALGORITHMS = ("hte_igw", "igw", "mod_hte_igw", "mod_igw", "uniform")
+# Each fitting algorithm's oracle as (rloss, lasso): the R-loss objective on
+# cross-fitted residuals or squared error on raw rewards, under a lasso
+# penalty or a ridge one.
+ORACLES = {"hte_igw": (True, False), "igw": (False, False),
+           "mod_hte_igw": (True, True), "mod_igw": (False, True)}
+ALGORITHMS = (*ORACLES, "uniform")
 
 GAMMA_COEF = math.sqrt(1.0 / 8.0)
 HASH_CHUNK_BYTES = 1 << 20
@@ -194,18 +199,14 @@ class SafetyMonitor:
 
 @dataclass
 class FitRecord:
-    """Audit record of one epoch-boundary refit."""
+    """Audit record of one epoch-boundary refit; model is the one deployed
+    in kernels[data_epoch + 1]."""
 
     data_epoch: int
     n: int
-    sparsity: int
-    active_context: int
+    model: LinearModel
     gamma_next: float
     data_hash: str
-    lam: float                 # the fitted model's penalty; 0.0 for ridge fits
-    converged: bool
-    rank_deficient: bool
-    sweeps: int                # coordinate-descent sweeps; 0 for ridge fits
     nuisance_fallback: bool = False
     samples: Optional[SampleBatch] = None
 
@@ -277,11 +278,12 @@ class Policy:
         self.lasso_const = lasso_const
         self.reward_range = reward_range
         self.keep_fit_inputs = keep_fit_inputs
+        self.rloss, self.lasso = ORACLES.get(algorithm, (False, False))
 
         # The effect oracle gets per-arm intercepts (between-arm constants are
         # part of the effect); the reward oracle shares one intercept across
         # arms, so constants common to all arms never masquerade as gaps.
-        if algorithm in ("hte_igw", "mod_hte_igw"):
+        if self.rloss:
             self.feature_map = arm_block_map(d, num_actions)
         else:
             self.feature_map = shared_intercept_map(d, num_actions)
@@ -373,38 +375,28 @@ class Policy:
     def _refit(self, m: int) -> None:
         batch = SampleBatch.concat(self.buffer)
         n = len(batch)
-        fallback = False
-        if self.algorithm in ("hte_igw", "mod_hte_igw"):
+        fitted, fallback = batch, False
+        if self.rloss:
             est, fitted = cross_fit_mu(batch, self.num_folds,
                                        ridge=self.ridge_scale * n,
                                        reward_range=self.reward_range,
                                        fold_seed=self.seed * 100_003 + m)
             fallback = est.fallback
-            if self.algorithm == "hte_igw":
-                model = fit_rloss(fitted, self.feature_map, ridge=self.ridge_scale * n)
-            else:
-                model = fit_rloss_lasso(fitted, self.feature_map, lam="auto",
-                                        scale=self.lasso_const)
-        elif self.algorithm == "igw":
-            model = fit_squared_error(batch, self.feature_map,
-                                      ridge=self.ridge_scale * n)
-        else:  # mod_igw
-            model = fit_squared_error_lasso(batch, self.feature_map, lam="auto",
-                                            scale=self.lasso_const)
-
-        if self.algorithm in ("mod_hte_igw", "mod_igw"):
+        # The fits are looked up here, at call time, so that a wrapped module
+        # attribute is the one called.
+        if self.lasso:
+            fit = fit_rloss_lasso if self.rloss else fit_squared_error_lasso
+            model = fit(fitted, self.feature_map, lam="auto", scale=self.lasso_const)
             dim = max(model.sparsity, 1)
         else:
+            fit = fit_rloss if self.rloss else fit_squared_error
+            model = fit(fitted, self.feature_map, ridge=self.ridge_scale * n)
             dim = self.feature_map.feature_dim
         rate_fn = lambda nn, zeta: estimation_rate(nn, zeta, dim, self.rate_const)
         gamma = gamma_schedule(n, m + 1, self.delta_prime, self.num_actions, rate_fn)
 
         self.kernels[m + 1] = (model, gamma)
         self.fits.append(FitRecord(
-            data_epoch=m, n=n, sparsity=model.sparsity,
-            active_context=model.active_context_coefficients(),
-            gamma_next=gamma, data_hash=_hash_batch(batch),
-            lam=model.lam, converged=model.converged,
-            rank_deficient=model.rank_deficient, sweeps=model.sweeps,
-            nuisance_fallback=fallback,
+            data_epoch=m, n=n, model=model, gamma_next=gamma,
+            data_hash=_hash_batch(batch), nuisance_fallback=fallback,
             samples=batch if self.keep_fit_inputs else None))

@@ -234,6 +234,8 @@ def compare(config: RunConfig, algorithms: Sequence[str]) -> Dict[str, Experimen
     and compare.csv / compare.svg beside them."""
     if not algorithms:
         raise ConfigError("empty algorithm list")
+    if len(set(algorithms)) != len(algorithms):
+        raise ConfigError("algorithms must be distinct")
     out = Path(config.output_dir)
     # Validate every configuration before any run starts or writes a file.
     subs = [replace(config, algorithm=algo, output_dir=str(out / algo)).validate()

@@ -147,7 +147,7 @@ def test_criterion_06_sparse_constant_effect_scenario(grid):
     clean = 0
     for res in grid[("lin_const", "mod_hte_igw")].results:
         late = [f for f in res.fits if f.data_epoch >= 2]
-        if late and all(f.active_context == 0 for f in late):
+        if late and all(f.model.active_context_coefficients() == 0 for f in late):
             clean += 1
     ok = f_hte <= 0.6 * f_igw and clean >= 8
     report(6, "sparse constant-effect scenario", ok,

@@ -89,6 +89,7 @@ def test_cli_maps_config_error_to_exit_2(capsys):
     ("abc", ["run"]),
     (None, ["compare", "--algos", "uniform,thompson"]),
     (None, ["compare", "--algos", "igw", "--set", "run.seeds=-1"]),
+    (None, ["compare", "--algos", "igw,uniform,igw"]),
 ])
 def test_cli_rejects_before_writing(tmp_path, monkeypatch, capsys, threads, args):
     if threads is not None:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hte_bandit.core import (
     ActionDistribution,
     EpochSchedule,
-    SeededRng,
     arm_block_map,
     custom_map,
     rng_stream,
@@ -106,6 +105,12 @@ def test_intercept_indices_and_context_count():
     assert shared_intercept_map(2, 2).intercept_indices() == (4,)
     theta = np.array([0.0, 3.0, 7.0, 0.0, 0.0, -2.0])
     assert fm.context_coefficients(theta) == 1   # intercepts at 2, 5 excluded
+    custom = custom_map(lambda x, a: np.zeros(4), feature_dim=4, num_actions=2,
+                        intercepts=(0, 3))
+    for m in (fm, shared_intercept_map(2, 2), custom):
+        mask = m.penalized()
+        assert mask.dtype == bool and mask.shape == (m.feature_dim,)
+        assert tuple(np.flatnonzero(~mask)) == tuple(sorted(m.intercept_indices()))
 
 
 def test_custom_map_contract():
@@ -219,4 +224,3 @@ def test_stream_reproducibility_and_separation():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-    assert SeededRng(42, 0) == SeededRng(42, 0)

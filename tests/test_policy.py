@@ -504,15 +504,14 @@ def test_model_selected_gamma_uses_reported_sparsity():
         a, dist, _ = pol.act(t, rnd.context, ra)
         pol.record(t, rnd.context, a, dist, rnd.reward(a))
     (rec,) = pol.fits
-    rate = lambda n, z: estimation_rate(n, z, max(rec.sparsity, 1), 0.01)
+    rate = lambda n, z: estimation_rate(n, z, max(rec.model.sparsity, 1), 0.01)
     assert rec.gamma_next == gamma_schedule(rec.n, 2, cfg.delta / 2, 2, rate)
 
 
 @pytest.mark.parametrize("algorithm", ["hte_igw", "mod_hte_igw"])
 def test_fit_records_copy_the_deployed_model_fields(algorithm):
-    """Each FitRecord carries lam, converged, rank_deficient and sweeps of the
-    model its refit deployed: a ridge fit has lam 0 and 0 sweeps, a lasso
-    fit its penalty and at least one sweep."""
+    """Each FitRecord carries the model its refit deployed: a ridge fit has
+    lam 0 and 0 sweeps, a lasso fit its penalty and at least one sweep."""
     cfg = RunConfig(scenario="lin_const", d=12, horizon=600, algorithm=algorithm,
                     schedule_kind="doubling", schedule_base=64, rate_const=0.01,
                     lasso_const=1.5, seeds=(4,))
@@ -528,13 +527,12 @@ def test_fit_records_copy_the_deployed_model_fields(algorithm):
 
     assert [f.data_epoch for f in pol.fits] == [1, 2, 3]
     for rec in pol.fits:
-        model = pol.kernels[rec.data_epoch + 1][0]
-        assert (rec.lam, rec.converged, rec.rank_deficient, rec.sweeps) == (
-            model.lam, model.converged, model.rank_deficient, model.sweeps)
+        assert rec.model is pol.kernels[rec.data_epoch + 1][0]
+        model = rec.model
         if algorithm == "hte_igw":
-            assert (rec.lam, rec.sweeps) == (0.0, 0)
+            assert (model.lam, model.sweeps) == (0.0, 0)
         else:
-            assert rec.lam > 0.0 and rec.converged and rec.sweeps >= 1
+            assert model.lam > 0.0 and model.converged and model.sweeps >= 1
 
 
 def test_identical_runs_produce_identical_sequences():
