@@ -8,7 +8,7 @@ Anything malformed raises ConfigError, which the CLI maps to exit code 2.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple, get_type_hints
 
 from .core import DOUBLING, EpochSchedule
@@ -31,33 +31,39 @@ DEFAULT_REWARD_RANGE = {
 }
 
 
+def _key(section: str, default):
+    """A RunConfig field set by the key section.<name>, where name is the
+    field name less its "schedule_" prefix."""
+    return field(default=default, metadata={"section": section})
+
+
 @dataclass
 class RunConfig:
-    scenario: str = "lin_lin"
-    d: int = 20
-    num_actions: int = 2
-    sigma: float = 0.1
-    horizon: int = 5000
-    amplitude: float = 0.5
-    period: float = 500.0
+    scenario: str = _key("env", "lin_lin")
+    d: int = _key("env", 20)
+    num_actions: int = _key("env", 2)
+    sigma: float = _key("env", 0.1)
+    horizon: int = _key("env", 5000)
+    amplitude: float = _key("env", 0.5)
+    period: float = _key("env", 500.0)
 
-    schedule_kind: str = DOUBLING
-    schedule_base: int = 1
-    schedule_boundaries: Tuple[int, ...] = ()
+    schedule_kind: str = _key("schedule", DOUBLING)
+    schedule_base: int = _key("schedule", 1)
+    schedule_boundaries: Tuple[int, ...] = _key("schedule", ())
 
-    algorithm: str = "hte_igw"
-    delta: float = 0.05
-    n_min: int = 32
-    r_lo: Optional[float] = None
-    r_hi: Optional[float] = None
+    algorithm: str = _key("policy", "hte_igw")
+    delta: float = _key("policy", 0.05)
+    n_min: int = _key("policy", 32)
+    r_lo: Optional[float] = _key("policy", None)
+    r_hi: Optional[float] = _key("policy", None)
 
-    ridge_scale: float = 1e-6
-    num_folds: int = 2
-    rate_const: float = 1.0
-    lasso_const: float = 1.0
+    ridge_scale: float = _key("oracle", 1e-6)
+    num_folds: int = _key("oracle", 2)
+    rate_const: float = _key("oracle", 1.0)
+    lasso_const: float = _key("oracle", 1.0)
 
-    seeds: Tuple[int, ...] = tuple(range(1, 11))
-    output_dir: str = "out"
+    seeds: Tuple[int, ...] = _key("run", tuple(range(1, 11)))
+    output_dir: str = _key("run", "out")
 
     def schedule(self) -> EpochSchedule:
         return EpochSchedule(self.schedule_kind, base=self.schedule_base,
@@ -98,7 +104,7 @@ class RunConfig:
             raise ConfigError("horizon must be nonnegative")
         try:
             spec = self.env_spec(self.seeds[0])
-            self.policy(self.seeds[0])
+            self.policy(self.seeds[0]).check_horizon(self.horizon)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         if not self.schedule().covers(self.horizon):
@@ -110,20 +116,8 @@ class RunConfig:
         return self
 
 
-_FIELD_NAME = {
-    ("env", "scenario"): "scenario", ("env", "d"): "d",
-    ("env", "num_actions"): "num_actions", ("env", "sigma"): "sigma",
-    ("env", "horizon"): "horizon", ("env", "amplitude"): "amplitude",
-    ("env", "period"): "period",
-    ("schedule", "kind"): "schedule_kind", ("schedule", "base"): "schedule_base",
-    ("schedule", "boundaries"): "schedule_boundaries",
-    ("oracle", "ridge_scale"): "ridge_scale", ("oracle", "num_folds"): "num_folds",
-    ("oracle", "rate_const"): "rate_const", ("oracle", "lasso_const"): "lasso_const",
-    ("policy", "algorithm"): "algorithm", ("policy", "delta"): "delta",
-    ("policy", "n_min"): "n_min", ("policy", "r_lo"): "r_lo",
-    ("policy", "r_hi"): "r_hi",
-    ("run", "seeds"): "seeds", ("run", "output_dir"): "output_dir",
-}
+_FIELD_NAME = {(f.metadata["section"], f.name.removeprefix("schedule_")): f.name
+               for f in fields(RunConfig)}
 
 # A key's type is the annotation of the RunConfig field it sets.
 _TYPES = get_type_hints(RunConfig)

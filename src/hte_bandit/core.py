@@ -23,6 +23,8 @@ STREAM_FOLD = 3
 STREAM_PARAMS = 4
 STREAM_VALIDATION = 5
 
+ACTIVE_TOL = 1e-10        # |theta_j| above this counts as an active coefficient
+
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
     """The generator of one reproducible (seed, stream) pair.
@@ -240,7 +242,7 @@ class FeatureMap:
         mask[list(self.intercept_indices())] = False
         return mask
 
-    def context_coefficients(self, theta: np.ndarray, tol: float = 1e-10) -> int:
+    def context_coefficients(self, theta: np.ndarray, tol: float = ACTIVE_TOL) -> int:
         """Count of active (|theta_j| > tol) non-intercept coordinates."""
         return int(np.sum(np.abs(theta[self.penalized()]) > tol))
 

@@ -145,10 +145,6 @@ class Environment:
         else:  # perturbed: one theta set shared by effect and confounder
             self.truth = GroundTruth(thetas=_unit_sphere(rng, K, d))
 
-    @property
-    def num_actions(self) -> int:
-        return self.spec.num_actions
-
     def g_star(self, x: np.ndarray) -> np.ndarray:
         """Treatment-effect part g(x, .): (K,) for one context, (n, K) for a block."""
         X = np.asarray(x, dtype=float)

@@ -24,9 +24,9 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
+from .core import ACTIVE_TOL  # noqa: F401  (re-exported: the oracle's active tolerance)
 from .core import STREAM_FOLD, FeatureMap, LoggedSample, SampleBatch, rng_stream
 
-ACTIVE_TOL = 1e-10        # |theta_j| above this counts as an active coefficient
 EIGEN_CLIP = 1e-12        # relative eigenvalue cutoff for the min-norm fallback
 CD_TOL = 1e-8             # coordinate descent: max coefficient change per sweep
 CD_MAX_SWEEPS = 10_000
@@ -57,19 +57,18 @@ class LinearModel:
     """Linear scorer over a feature map: the result of every fit.
 
     An R-loss fit's scores are meaningful only as between-action gaps; a
-    squared-error fit's scores estimate the rewards themselves.  lam and
-    sweeps are the lasso penalty and coordinate-descent sweeps, 0 for
-    ridge fits.
+    squared-error fit's scores estimate the rewards themselves.  sparsity
+    counts the active penalized (non-intercept) coefficients, whatever the
+    fit.  lam and sweeps are the lasso penalty and coordinate-descent
+    sweeps, 0 for ridge fits.
     """
 
     def __init__(self, theta: np.ndarray, feature_map: FeatureMap, *,
-                 sparsity: Optional[int] = None, rank_deficient: bool = False,
-                 converged: bool = True, lam: float = 0.0, sweeps: int = 0):
+                 rank_deficient: bool = False, converged: bool = True,
+                 lam: float = 0.0, sweeps: int = 0):
         self.theta = np.asarray(theta, dtype=float)
         self.feature_map = feature_map
-        if sparsity is None:
-            sparsity = int(np.sum(np.abs(self.theta) > ACTIVE_TOL))
-        self.sparsity = sparsity
+        self.sparsity = feature_map.context_coefficients(self.theta)
         self.rank_deficient = rank_deficient
         self.converged = converged
         self.lam = lam
@@ -80,11 +79,11 @@ class LinearModel:
         return self.feature_map.scores(self.theta, x)
 
     def active_context_coefficients(self) -> int:
-        return self.feature_map.context_coefficients(self.theta, ACTIVE_TOL)
+        return self.sparsity
 
 
 def zero_model(feature_map: FeatureMap) -> LinearModel:
-    return LinearModel(np.zeros(feature_map.feature_dim), feature_map, sparsity=0)
+    return LinearModel(np.zeros(feature_map.feature_dim), feature_map)
 
 
 @dataclass
@@ -266,17 +265,14 @@ def _coordinate_descent(Z, y, lam, penalized):
 
 
 def _lasso_fit(Z, y, feature_map, lam, scale) -> LinearModel:
-    """Lasso fit of y on Z; intercept coordinates are never penalized and
-    `sparsity` counts active penalized coordinates only."""
+    """Lasso fit of y on Z; intercept coordinates are never penalized."""
     if lam == "auto":
         lam = auto_lambda(Z, y, scale)
     lam = float(lam)
     if lam < 0:
         raise ValueError("lasso penalty must be nonnegative")
     theta, converged, sweeps = _coordinate_descent(Z, y, lam, feature_map.penalized())
-    return LinearModel(theta, feature_map,
-                       sparsity=feature_map.context_coefficients(theta, ACTIVE_TOL),
-                       converged=converged, lam=lam, sweeps=sweeps)
+    return LinearModel(theta, feature_map, converged=converged, lam=lam, sweeps=sweeps)
 
 
 def fit_rloss_lasso(samples: Sequence[LoggedSample], feature_map: FeatureMap,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -103,7 +103,10 @@ def gamma_schedule(prev_epoch_len: int, next_epoch: int, delta_prime: float,
     xi = rate_fn(prev_epoch_len, zeta)
     if not 0.0 < xi <= 1.0:
         raise ValueError(f"rate function returned {xi!r}, expected (0, 1]")
-    return max(1.0, GAMMA_COEF * math.sqrt(num_actions / xi))
+    gamma = max(1.0, GAMMA_COEF * math.sqrt(num_actions / xi))
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma overflows at rate {xi!r}")
+    return gamma
 
 
 class SafetyMonitor:
@@ -208,7 +211,6 @@ class FitRecord:
     gamma_next: float
     data_hash: str
     nuisance_fallback: bool = False
-    samples: Optional[SampleBatch] = None
 
 
 def _hash_batch(samples: Sequence[LoggedSample]) -> str:
@@ -254,8 +256,7 @@ class Policy:
                  schedule: EpochSchedule, delta: float = 0.05, *, seed: int = 0,
                  ridge_scale: float = 1e-6, num_folds: int = 2,
                  rate_const: float = 1.0, lasso_const: float = 1.0,
-                 n_min: int = 32, reward_range: Tuple[float, float] = (0.0, 1.0),
-                 keep_fit_inputs: bool = False):
+                 n_min: int = 32, reward_range: Tuple[float, float] = (0.0, 1.0)):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
         if not 0.0 < delta < 1.0:
@@ -277,7 +278,6 @@ class Policy:
         self.rate_const = rate_const
         self.lasso_const = lasso_const
         self.reward_range = reward_range
-        self.keep_fit_inputs = keep_fit_inputs
         self.rloss, self.lasso = ORACLES.get(algorithm, (False, False))
 
         # The effect oracle gets per-arm intercepts (between-arm constants are
@@ -387,16 +387,33 @@ class Policy:
         if self.lasso:
             fit = fit_rloss_lasso if self.rloss else fit_squared_error_lasso
             model = fit(fitted, self.feature_map, lam="auto", scale=self.lasso_const)
-            dim = max(model.sparsity, 1)
         else:
             fit = fit_rloss if self.rloss else fit_squared_error
             model = fit(fitted, self.feature_map, ridge=self.ridge_scale * n)
-            dim = self.feature_map.feature_dim
-        rate_fn = lambda nn, zeta: estimation_rate(nn, zeta, dim, self.rate_const)
-        gamma = gamma_schedule(n, m + 1, self.delta_prime, self.num_actions, rate_fn)
+        gamma = self._gamma(n, m + 1, model.sparsity)
 
         self.kernels[m + 1] = (model, gamma)
         self.fits.append(FitRecord(
             data_epoch=m, n=n, model=model, gamma_next=gamma,
-            data_hash=_hash_batch(batch), nuisance_fallback=fallback,
-            samples=batch if self.keep_fit_inputs else None))
+            data_hash=_hash_batch(batch), nuisance_fallback=fallback))
+
+    def _gamma(self, n: int, m: int, sparsity: int) -> float:
+        """gamma for epoch m from a model fitted on n rounds: the rate's
+        dimension is max(sparsity, 1) for a lasso fit, feature_dim for a
+        ridge fit."""
+        dim = max(sparsity, 1) if self.lasso else self.feature_map.feature_dim
+        rate_fn = lambda nn, zeta: estimation_rate(nn, zeta, dim, self.rate_const)
+        return gamma_schedule(n, m, self.delta_prime, self.num_actions, rate_fn)
+
+    def check_horizon(self, horizon: int) -> None:
+        """Raise ValueError unless every refit within horizon rounds gets a
+        finite gamma.  The rate bound shrinks as n grows and grows with m
+        and the dimension, so no epoch has a smaller rate than the first
+        update (m = 2) on n = horizon rounds at the smallest dimension."""
+        if self.algorithm == "uniform" or horizon < 1:
+            return
+        try:
+            self._gamma(horizon, 2, 0)
+        except ValueError as e:
+            raise ValueError(f"rate_const {self.rate_const!r} is too small "
+                             f"for horizon {horizon}: {e}") from e

@@ -156,32 +156,22 @@ def _worker_count(jobs: int) -> int:
 
 # -- file emission -----------------------------------------------------------
 
-def _ints(col: np.ndarray):
-    return map(str, col.tolist())
-
-
-def _floats(col: np.ndarray):
-    return map(repr, col.tolist())   # repr: the shortest round-trip form
-
-
 def _write_rows(path, header: str, cols) -> None:
-    """One CSV line per row of the formatted columns, each column formatted
-    once as a whole."""
-    rows = map(",".join, zip(*cols))
+    """One CSV line per row of cols, each column formatted once as a whole
+    by its dtype: repr (the shortest round-trip form) for floats, str for
+    anything else."""
+    cells = (map(repr if c.dtype.kind == "f" else str, c.tolist())
+             for c in map(np.asarray, cols))
+    rows = map(",".join, zip(*cells))
     Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
 
 
 def write_run_csv(path, result: RunResult) -> None:
-    r = result
-    _write_rows(path, RUN_HEADER, (
-        _ints(r.t), _ints(r.epoch), _ints(r.safe), _floats(r.gamma),
-        _ints(r.action), _floats(r.propensity), _floats(r.reward),
-        _floats(r.expected_regret), _floats(r.cum_expected_regret)))
+    _write_rows(path, RUN_HEADER, [getattr(result, c) for c in RUN_HEADER.split(",")])
 
 
 def write_curve_csv(path, curve: RegretCurve) -> None:
-    _write_rows(path, CURVE_HEADER,
-                (_ints(curve.t), _floats(curve.mean), _floats(curve.std)))
+    _write_rows(path, CURVE_HEADER, (curve.t, curve.mean, curve.std))
 
 
 def _experiments(configs: Sequence[RunConfig],
@@ -244,8 +234,7 @@ def compare(config: RunConfig, algorithms: Sequence[str]) -> Dict[str, Experimen
     mean = np.array([results[a].curve.final_mean() for a in algorithms])
     std = np.array([results[a].curve.final_std() for a in algorithms])
     ratio = mean / mean[0] if mean[0] != 0 else np.full(mean.size, np.nan)
-    _write_rows(out / "compare.csv", COMPARE_HEADER,
-                (algorithms, _floats(mean), _floats(std), _floats(ratio)))
+    _write_rows(out / "compare.csv", COMPARE_HEADER, (algorithms, mean, std, ratio))
     series = [Series(a, results[a].curve.t, results[a].curve.mean,
                      results[a].curve.std) for a in algorithms]
     write_chart(out / "compare.svg", series,

@@ -2,12 +2,13 @@
 
 import filecmp
 import xml.etree.ElementTree as ET
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hte_bandit import cli
+from hte_bandit import cli, config
 from hte_bandit.config import ConfigError, RunConfig, load_config
 from hte_bandit.core import STREAM_VALIDATION, rng_stream
 from hte_bandit.environments import build_environment
@@ -73,10 +74,40 @@ def test_config_file_and_overrides(tmp_path):
     ["run.seeds=-1"],
     ["run.seeds=1,-2"],                       # a run builds only seeds[0] to validate
     ["run.output_dir="],                      # as from an unset shell variable
+    ["oracle.rate_const=1e-306", "policy.algorithm=mod_hte_igw"],  # gamma overflows
+    ["oracle.rate_const=5e-324"],             # the rate bound underflows to 0
 ])
 def test_bad_config_raises(overrides):
     with pytest.raises(ConfigError):
         load_config(None, overrides)
+
+
+def test_uniform_loads_at_any_positive_rate_const():
+    """uniform never refits, so no rate_const is too small for it."""
+    cfg = load_config(None, ["policy.algorithm=uniform", "oracle.rate_const=5e-324"])
+    assert cfg.rate_const == 5e-324
+
+
+# A valid non-default value for the key of each RunConfig field.
+NON_DEFAULT = {
+    "scenario": "lin_const", "d": "5", "num_actions": "3", "sigma": "0.2",
+    "horizon": "100", "amplitude": "0.25", "period": "100.0",
+    "schedule_kind": "fixed_length", "schedule_base": "16",
+    "schedule_boundaries": "10,20",
+    "algorithm": "igw", "delta": "0.1", "n_min": "8", "r_lo": "-1.0", "r_hi": "5.0",
+    "ridge_scale": "1e-5", "num_folds": "3", "rate_const": "0.5",
+    "lasso_const": "2.0", "seeds": "3,4", "output_dir": "elsewhere",
+}
+
+
+@pytest.mark.parametrize("f", fields(RunConfig), ids=lambda f: f.name)
+def test_each_field_is_set_by_its_one_key(f):
+    keys = [f"{section}.{key}" for (section, key), name in config._FIELD_NAME.items()
+            if name == f.name]
+    assert len(keys) == 1
+    cfg = load_config(None, [f"{keys[0]}={NON_DEFAULT[f.name]}"])
+    assert getattr(cfg, f.name) != getattr(RunConfig(), f.name)
+    assert cfg == replace(RunConfig(), **{f.name: getattr(cfg, f.name)})
 
 
 def test_cli_maps_config_error_to_exit_2(capsys):

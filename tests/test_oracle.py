@@ -352,6 +352,19 @@ def test_squared_error_lin_lin_blocks_against_dense_solve():
     assert np.max(np.abs(blocks - target)) <= 0.05
 
 
+@pytest.mark.parametrize("make_map", [arm_block_map, shared_intercept_map],
+                         ids=["arm_block", "shared_intercept"])
+def test_ridge_sparsity_counts_active_penalized_coefficients(make_map):
+    """A ridge fit's sparsity means what a lasso fit's does: the active
+    coefficients outside the intercepts."""
+    _, samples = env_batch("lin_lin", 200, seed=24, d=4)
+    fm = make_map(4, 2)
+    model = fit_squared_error(samples, fm, ridge=1e-6)
+    assert np.all(np.abs(model.theta) > 1e-10)   # dense, intercepts included
+    assert model.sparsity == model.active_context_coefficients()
+    assert model.sparsity == fm.feature_dim - len(fm.intercept_indices())
+
+
 # -- lasso -----------------------------------------------------------------------
 
 def test_lasso_zero_penalty_matches_ridge_free_fit():

@@ -211,6 +211,8 @@ def test_gamma_validation():
         gamma_schedule(10, 2, 0.025, 2, lambda n, z: 0.0)
     with pytest.raises(ValueError):
         gamma_schedule(10, 2, 0.025, 2, lambda n, z: 1.5)
+    with pytest.raises(ValueError):   # K / xi overflows: gamma is not finite
+        gamma_schedule(10, 2, 0.025, 2, lambda n, z: 1e-320)
 
 
 def test_gamma_monotone_over_doubling_epochs():
@@ -450,7 +452,7 @@ def test_trigger_freezes_the_certified_kernel():
     assert len(pol.fits) == 2
 
 
-def test_fits_use_only_their_epoch_and_reproduce_bitwise():
+def test_fits_use_only_their_epoch_and_reproduce_bitwise(monkeypatch):
     """Oracle-data discipline: each refit consumes exactly its epoch buffer,
     and rerunning the fit pipeline on the recorded batch reproduces the
     deployed coefficients and exploration rate."""
@@ -461,7 +463,14 @@ def test_fits_use_only_their_epoch_and_reproduce_bitwise():
     pol = Policy("hte_igw", 4, 2, cfg.schedule(), cfg.delta, seed=9,
                  ridge_scale=cfg.ridge_scale, num_folds=2,
                  rate_const=cfg.rate_const, n_min=cfg.n_min,
-                 reward_range=cfg.reward_range(), keep_fit_inputs=True)
+                 reward_range=cfg.reward_range())
+    batches = []   # each refit's batch, as _refit hands it to cross_fit_mu
+
+    def spy(samples, *args, **kwargs):
+        batches.append(samples)
+        return cross_fit_mu(samples, *args, **kwargs)
+
+    monkeypatch.setattr(policy, "cross_fit_mu", spy)
     rc, rn, ra = (rng_stream(9, s) for s in (0, 1, 2))
     for t in range(1, 601):
         rnd = env.sample_round(rc, rn, t)
@@ -469,11 +478,12 @@ def test_fits_use_only_their_epoch_and_reproduce_bitwise():
         pol.record(t, rnd.context, a, dist, rnd.reward(a))
 
     assert [f.data_epoch for f in pol.fits] == [1, 2, 3]
-    for rec in pol.fits:
+    assert len(batches) == len(pol.fits)
+    for rec, samples in zip(pol.fits, batches):
         assert rec.n == cfg.schedule().epoch_length(rec.data_epoch)
-        assert rec.n == len(rec.samples)
-        assert rec.data_hash == _hash_batch(rec.samples)
-        est, fitted = cross_fit_mu(rec.samples, num_folds=2,
+        assert rec.n == len(samples)
+        assert rec.data_hash == _hash_batch(samples)
+        est, fitted = cross_fit_mu(samples, num_folds=2,
                                    ridge=cfg.ridge_scale * rec.n,
                                    reward_range=cfg.reward_range(),
                                    fold_seed=9 * 100_003 + rec.data_epoch)
@@ -497,7 +507,7 @@ def test_model_selected_gamma_uses_reported_sparsity():
     env = build_environment(cfg.env_spec(3))
     pol = Policy("mod_hte_igw", 12, 2, cfg.schedule(), cfg.delta, seed=3,
                  rate_const=0.01, lasso_const=1.5, n_min=32,
-                 reward_range=cfg.reward_range(), keep_fit_inputs=True)
+                 reward_range=cfg.reward_range())
     rc, rn, ra = (rng_stream(3, s) for s in (0, 1, 2))
     for t in range(1, 301):
         rnd = env.sample_round(rc, rn, t)
