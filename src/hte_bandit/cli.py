@@ -110,17 +110,17 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="Contextual bandit simulation harness")
     sub = p.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run one algorithm over the seed list")
-    run_p.add_argument("--config", help="key=value config file")
-    run_p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE", help="override a config entry")
+    configured = argparse.ArgumentParser(add_help=False)
+    configured.add_argument("--config", help="key=value config file")
+    configured.add_argument("--set", dest="overrides", action="append", default=[],
+                            metavar="SECTION.KEY=VALUE", help="override a config entry")
 
-    cmp_p = sub.add_parser("compare", help="paired runs of several algorithms")
-    cmp_p.add_argument("--config", help="key=value config file")
+    sub.add_parser("run", parents=[configured],
+                   help="run one algorithm over the seed list")
+    cmp_p = sub.add_parser("compare", parents=[configured],
+                           help="paired runs of several algorithms")
     cmp_p.add_argument("--algos", required=True,
                        help="comma-separated algorithm list")
-    cmp_p.add_argument("--set", dest="overrides", action="append", default=[],
-                       metavar="SECTION.KEY=VALUE")
 
     val_p = sub.add_parser("validate", help="run the structural check suite")
     val_p.add_argument("--seed", type=int, default=0)

@@ -390,9 +390,3 @@ class EpochSchedule:
 
     def epoch_length(self, m: int) -> int:
         return self.boundary(m) - self.boundary(m - 1)
-
-    def covers(self, horizon: int) -> bool:
-        """Whether every round 1..horizon falls inside some epoch."""
-        if self.kind != EXPLICIT:
-            return True
-        return horizon <= self.boundaries[-1]

@@ -133,17 +133,16 @@ class Environment:
         K, d = spec.num_actions, spec.d
         s = spec.scenario
         # Draw order is fixed per scenario so seeds replay exactly.
-        if s == "lin_lin":
+        if s in ("lin_lin", "perturbed"):
+            # perturbed: one theta set shared by effect and confounder
             self.truth = GroundTruth(thetas=_unit_sphere(rng, K, d))
         elif s in ("lin_const", "nonstationary"):
             u = rng.uniform(0.0, 1.0, size=K)
             theta = _unit_sphere(rng, 1, d)[0]
             self.truth = GroundTruth(theta=theta, u=u)
-        elif s == "step_lin":
+        else:  # step_lin
             u = rng.uniform(0.0, 1.0, size=K)
             self.truth = GroundTruth(thetas=_unit_sphere(rng, K, d), u=u)
-        else:  # perturbed: one theta set shared by effect and confounder
-            self.truth = GroundTruth(thetas=_unit_sphere(rng, K, d))
 
     def g_star(self, x: np.ndarray) -> np.ndarray:
         """Treatment-effect part g(x, .): (K,) for one context, (n, K) for a block."""
@@ -179,7 +178,11 @@ class Environment:
         elif s == "nonstationary":
             # math.sin per round, as numpy's sin need not round alike.
             angle = 2.0 * math.pi * np.broadcast_to(t, X.shape[:1]) / self.spec.period
-            drift = [self.spec.amplitude * math.sin(a) for a in angle.tolist()]
+            try:
+                drift = [self.spec.amplitude * math.sin(a) for a in angle.tolist()]
+            except ValueError as e:
+                raise ValueError(f"drift angle 2 pi t / period overflows at "
+                                 f"period {self.spec.period!r}") from e
             h = 1.0 + row_products(tr.theta[None, :], X)[:, 0] + np.array(drift)
         else:  # step_lin / perturbed confounder
             peak = (1.0 + row_products(tr.thetas, X)).max(axis=1)

@@ -24,7 +24,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from .core import ACTIVE_TOL  # noqa: F401  (re-exported: the oracle's active tolerance)
 from .core import STREAM_FOLD, FeatureMap, LoggedSample, SampleBatch, rng_stream
 
 EIGEN_CLIP = 1e-12        # relative eigenvalue cutoff for the min-norm fallback

@@ -47,42 +47,31 @@ def igw_kernel(scores: np.ndarray, gamma: float | np.ndarray):
     with the remainder on the argmax (lowest index on ties).
 
     The leader keeps at least 1/K probability and every action keeps at
-    least 1 / (K + gamma * max_gap) > 0.  A (K,) score vector and a float
-    gamma give an ActionDistribution.  An (n, K) block of score rows, with
+    least 1 / (K + gamma * max_gap) > 0.  An (n, K) block of score rows, with
     one float gamma or an (n,) array of one gamma per row, gives the (n, K)
-    array of kernel rows, each equal bit for bit to its one-row call.
+    array of kernel rows.  A (K,) score vector and a float gamma are the
+    block of one row, returned as an ActionDistribution.
     """
     s = np.asarray(scores, dtype=float)
     if s.ndim not in (1, 2) or s.shape[-1] < 2:
         raise ValueError("scores must be a vector, or rows, over at least two actions")
-    # Direct ufunc reductions: the same arithmetic as .all(), .max() and
-    # .sum(), without the wrapper layer that dominates at small K.
-    if not np.logical_and.reduce(np.isfinite(s), axis=None):
+    if not np.isfinite(s).all():
         raise ValueError("scores must be finite")
-    K = s.shape[-1]
     if isinstance(gamma, np.ndarray) and gamma.ndim:
         if not (s.ndim == 2 and gamma.shape == (len(s),)
-                and np.logical_and.reduce((gamma > 0) & (gamma < math.inf))):
+                and ((gamma > 0) & (gamma < math.inf)).all()):
             raise ValueError("gamma must be one positive finite real per score row")
         gamma = gamma[:, None]
     elif not (math.isfinite(gamma) and gamma > 0):
         raise ValueError("gamma must be a positive finite real")
-    if s.ndim == 1:
-        # One row, without the block bookkeeping below: the same arithmetic.
-        p = 1.0 / (K + gamma * (np.maximum.reduce(s) - s))
-        lead = s.argmax()
-        p[lead] = 0.0
-        p[lead] = 1.0 - np.add.reduce(p)
-        return ActionDistribution.trusted(p)
-    n = len(s)
-    P = 1.0 / (K + gamma * (np.maximum.reduce(s, axis=1, keepdims=True) - s))
-    lead = s.argmax(axis=1)   # flat positions of the leaders in P
-    if n > 1:
-        lead += np.arange(0, n * K, K)
+    S = s.reshape(-1, s.shape[-1])
+    n, K = S.shape
+    P = 1.0 / (K + gamma * (S.max(axis=1, keepdims=True) - S))
+    lead = S.argmax(axis=1) + np.arange(0, n * K, K)   # flat positions in P
     flat = P.reshape(-1)
     flat[lead] = 0.0
-    flat[lead] = 1.0 - np.add.reduce(P, axis=1)
-    return P
+    flat[lead] = 1.0 - P.sum(axis=1)
+    return ActionDistribution.trusted(P[0]) if s.ndim == 1 else P
 
 
 def gamma_schedule(prev_epoch_len: int, next_epoch: int, delta_prime: float,
@@ -406,14 +395,21 @@ class Policy:
         return gamma_schedule(n, m, self.delta_prime, self.num_actions, rate_fn)
 
     def check_horizon(self, horizon: int) -> None:
-        """Raise ValueError unless every refit within horizon rounds gets a
-        finite gamma.  The rate bound shrinks as n grows and grows with m
-        and the dimension, so no epoch has a smaller rate than the first
-        update (m = 2) on n = horizon rounds at the smallest dimension."""
-        if self.algorithm == "uniform" or horizon < 1:
+        """Raise ValueError unless every round up to horizon lies in an epoch
+        of the schedule and every refit within horizon rounds gets a finite
+        gamma.  The rate bound shrinks as n grows and grows with m and the
+        dimension, so no epoch has a smaller rate than the first update
+        (m = 2) on n = horizon rounds at the smallest dimension; and no
+        epoch has a smaller confidence delta' / m^2 than the last one."""
+        if horizon < 1:
             return
-        try:
-            self._gamma(horizon, 2, 0)
-        except ValueError as e:
-            raise ValueError(f"rate_const {self.rate_const!r} is too small "
-                             f"for horizon {horizon}: {e}") from e
+        last = self.schedule.epoch_of(horizon)
+        if self.algorithm == "uniform":
+            return
+        for m in (2, max(last, 2)):
+            try:
+                self._gamma(horizon, m, 0)
+            except ValueError as e:
+                raise ValueError(
+                    f"the gamma schedule fails at epoch {m} of horizon {horizon} "
+                    f"(delta {self.delta!r}, rate_const {self.rate_const!r}): {e}") from e

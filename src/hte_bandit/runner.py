@@ -3,14 +3,16 @@
 Per seed, the environment draws (contexts, noise, ground truth) come from
 streams that never see policy randomness, so every algorithm replays the
 identical reward landscape and comparisons are paired.  Every (config,
-seed) job of one command shares one process pool.  Workers only compute;
-all files are written from the coordinating process in seed order, which
-keeps repeated invocations byte-identical regardless of the worker count
-(capped by HTE_BANDIT_THREADS).
+seed) job of one command shares one process pool, or runs in this process
+on one worker.  Workers only compute; all files are written from the
+coordinating process in seed order, each config's as soon as its seeds are
+in, which keeps repeated invocations byte-identical regardless of the worker
+count (capped by HTE_BANDIT_THREADS).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -176,8 +178,10 @@ def write_curve_csv(path, curve: RegretCurve) -> None:
 
 def _experiments(configs: Sequence[RunConfig],
                  write: bool) -> List[ExperimentResult]:
-    """Every (config, seed) job on one pool, config-major and in seed order;
-    then each config aggregated and, if write, its CSVs and SVG emitted.
+    """Every (config, seed) job on one pool, config-major and in seed order.
+    Each config is aggregated and, if write, its CSVs and SVG emitted as soon
+    as its seeds are in, while later configs still run; so a run that raises
+    leaves the files of every config finished before it.
 
     The worker count and the output directories come first: a bad
     HTE_BANDIT_THREADS or a directory that cannot be created is a
@@ -191,25 +195,23 @@ def _experiments(configs: Sequence[RunConfig],
             Path(d).mkdir(parents=True, exist_ok=True)
         except OSError as e:
             raise ConfigError(f"cannot create output directory {d}: {e}") from e
-    if workers <= 1:
-        runs = iter(list(map(run_single, cfgs, seeds)))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = iter(list(pool.map(run_single, cfgs, seeds)))
     experiments = []
-    for config in configs:
-        results = [next(runs) for _ in config.seeds]
-        curve = aggregate_curve(results)
-        if write:
-            out = Path(config.output_dir)
-            for r in results:
-                write_run_csv(out / f"run_{r.seed}.csv", r)
-            write_curve_csv(out / "curve.csv", curve)
-            series = [Series(config.algorithm, curve.t, curve.mean, curve.std)]
-            write_chart(out / "curve.svg", series,
-                        title=f"{config.scenario}: cumulative expected regret",
-                        x_label="round", y_label="cumulative regret")
-        experiments.append(ExperimentResult(config, results, curve))
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        runs = (pool.map if pool else map)(run_single, cfgs, seeds)
+        for config in configs:
+            results = [next(runs) for _ in config.seeds]
+            curve = aggregate_curve(results)
+            if write:
+                out = Path(config.output_dir)
+                for r in results:
+                    write_run_csv(out / f"run_{r.seed}.csv", r)
+                write_curve_csv(out / "curve.csv", curve)
+                series = [Series(config.algorithm, curve.t, curve.mean, curve.std)]
+                write_chart(out / "curve.svg", series,
+                            title=f"{config.scenario}: cumulative expected regret",
+                            x_label="round", y_label="cumulative regret")
+            experiments.append(ExperimentResult(config, results, curve))
     return experiments
 
 

@@ -7,7 +7,7 @@ inputs yield byte-identical files.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -37,12 +37,11 @@ def _nice_ticks(lo: float, hi: float, n: int = 6) -> List[float]:
 
 
 class Series:
-    def __init__(self, label: str, x, mean, band=None, color: Optional[str] = None):
+    def __init__(self, label: str, x, mean, band=None):
         self.label = label
         self.x = np.asarray(x, float)
         self.mean = np.asarray(mean, float)
         self.band = None if band is None else np.asarray(band, float)
-        self.color = color
 
 
 def line_chart(series: Sequence[Series], title: str = "",
@@ -116,7 +115,7 @@ def line_chart(series: Sequence[Series], title: str = "",
                    f'transform="rotate(-90 16 {cy:.1f})">{y_label}</text>')
 
     for i, s in enumerate(xs):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         if s.band is not None and np.any(s.band > 0):
             upper = points(s.x, s.mean + s.band)
             lower = points(s.x[::-1], s.mean[::-1] - s.band[::-1])
@@ -128,7 +127,7 @@ def line_chart(series: Sequence[Series], title: str = "",
 
     # Legend, top-left inside the frame.
     for i, s in enumerate(xs):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         ly = MARGIN_T + 16 + 16 * i
         out.append(f'<line x1="{MARGIN_L + 10}" y1="{ly}" x2="{MARGIN_L + 34}" '
                    f'y2="{ly}" stroke="{color}" stroke-width="2"/>')

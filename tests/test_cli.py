@@ -76,6 +76,9 @@ def test_config_file_and_overrides(tmp_path):
     ["run.output_dir="],                      # as from an unset shell variable
     ["oracle.rate_const=1e-306", "policy.algorithm=mod_hte_igw"],  # gamma overflows
     ["oracle.rate_const=5e-324"],             # the rate bound underflows to 0
+    ["policy.delta=5e-322"],                  # delta' / m^2 underflows by the last epoch
+    ["env.scenario=nonstationary", "env.period=1e-310", "env.horizon=50"],  # drift angle overflows
+    ["policy.algorithm=uniform", "schedule.kind=explicit_list", "schedule.boundaries=10,20"],
 ])
 def test_bad_config_raises(overrides):
     with pytest.raises(ConfigError):
@@ -275,6 +278,35 @@ def test_compare_runs_on_one_pool_with_the_same_bytes(tmp_path, monkeypatch):
     for name in files:
         assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name,
                            shallow=False), name
+
+
+def test_compare_writes_each_algorithm_once_its_seeds_are_in(tmp_path, monkeypatch):
+    """On one worker, the first algorithm's run_*.csv are written before the
+    second algorithm's first run starts."""
+    from hte_bandit import runner
+
+    events = []
+    real_run, real_write = runner.run_single, runner.write_run_csv
+
+    def run_spy(config, seed):
+        events.append(("run", config.algorithm, seed))
+        return real_run(config, seed)
+
+    def write_spy(path, result):
+        events.append(("write", Path(path).parent.name, result.seed))
+        real_write(path, result)
+
+    monkeypatch.setattr(runner, "run_single", run_spy)
+    monkeypatch.setattr(runner, "write_run_csv", write_spy)
+    monkeypatch.setenv("HTE_BANDIT_THREADS", "1")
+    assert cli.main(["compare", "--algos", "hte_igw,uniform",
+                     "--set", "env.horizon=100", "--set", "env.d=3",
+                     "--set", "run.seeds=1,2",
+                     "--set", f"run.output_dir={tmp_path}"]) == 0
+    assert events == [("run", "hte_igw", 1), ("run", "hte_igw", 2),
+                      ("write", "hte_igw", 1), ("write", "hte_igw", 2),
+                      ("run", "uniform", 1), ("run", "uniform", 2),
+                      ("write", "uniform", 1), ("write", "uniform", 2)]
 
 
 def test_uniform_regret_slope_matches_oracle(tmp_path):

@@ -191,7 +191,6 @@ def test_explicit_schedule():
     s = EpochSchedule("explicit_list", boundaries=(3, 10, 50))
     assert s.epoch_of(10) == 2
     assert s.epoch_of(3) == 1 and s.epoch_of(4) == 2 and s.epoch_of(11) == 3
-    assert s.covers(50) and not s.covers(51)
     with pytest.raises(ValueError):
         s.epoch_of(51)
     with pytest.raises(ValueError):

@@ -136,7 +136,7 @@ def reference_line_chart(series, title="", x_label="", y_label="") -> str:
                    f'font-family="sans-serif" font-size="12" '
                    f'transform="rotate(-90 16 {cy:.1f})">{y_label}</text>')
     for i, s in enumerate(xs):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         if s.band is not None and np.any(s.band > 0):
             upper = [f"{px(x):.2f},{py(m + b):.2f}"
                      for x, m, b in zip(s.x, s.mean, s.band)]
@@ -148,7 +148,7 @@ def reference_line_chart(series, title="", x_label="", y_label="") -> str:
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.6"/>')
     for i, s in enumerate(xs):
-        color = s.color or PALETTE[i % len(PALETTE)]
+        color = PALETTE[i % len(PALETTE)]
         ly = MARGIN_T + 16 + 16 * i
         out.append(f'<line x1="{MARGIN_L + 10}" y1="{ly}" x2="{MARGIN_L + 34}" '
                    f'y2="{ly}" stroke="{color}" stroke-width="2"/>')
