@@ -400,12 +400,20 @@ class Policy:
         gamma.  The rate bound shrinks as n grows and grows with m and the
         dimension, so no epoch has a smaller rate than the first update
         (m = 2) on n = horizon rounds at the smallest dimension; and no
-        epoch has a smaller confidence delta' / m^2 than the last one."""
+        epoch has a smaller confidence delta' / m^2 than the last one.
+
+        Also raise unless the safety monitor's log argument 4 m^2 t^2 / delta,
+        largest at the last epoch and round, is finite: past the float range
+        every bound of the monitor is infinite and it can never trigger."""
         if horizon < 1:
             return
         last = self.schedule.epoch_of(horizon)
         if self.algorithm == "uniform":
             return
+        if not math.isfinite(4.0 * last * last * horizon * horizon / self.delta):
+            raise ValueError(
+                f"the safety monitor's confidence term 4 m^2 t^2 / delta overflows "
+                f"at epoch {last} of horizon {horizon} (delta {self.delta!r})")
         for m in (2, max(last, 2)):
             try:
                 self._gamma(horizon, m, 0)

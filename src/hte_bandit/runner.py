@@ -4,15 +4,17 @@ Per seed, the environment draws (contexts, noise, ground truth) come from
 streams that never see policy randomness, so every algorithm replays the
 identical reward landscape and comparisons are paired.  Every (config,
 seed) job of one command shares one process pool, or runs in this process
-on one worker.  Workers only compute; all files are written from the
-coordinating process in seed order, each config's as soon as its seeds are
-in, which keeps repeated invocations byte-identical regardless of the worker
-count (capped by HTE_BANDIT_THREADS).
+on one worker.  The process that simulates a run also formats its
+run_*.csv text; every file is written from the coordinating process in seed
+order, each config's as soon as its seeds are in, which keeps repeated
+invocations byte-identical regardless of the worker count (capped by
+HTE_BANDIT_THREADS).
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -158,22 +160,44 @@ def _worker_count(jobs: int) -> int:
 
 # -- file emission -----------------------------------------------------------
 
-def _write_rows(path, header: str, cols) -> None:
-    """One CSV line per row of cols, each column formatted once as a whole
-    by its dtype: repr (the shortest round-trip form) for floats, str for
-    anything else."""
-    cells = (map(repr if c.dtype.kind == "f" else str, c.tolist())
-             for c in map(np.asarray, cols))
-    rows = map(",".join, zip(*cells))
-    Path(path).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+CSV_SLICE_ROWS = 1 << 15
 
 
-def write_run_csv(path, result: RunResult) -> None:
-    _write_rows(path, RUN_HEADER, [getattr(result, c) for c in RUN_HEADER.split(",")])
+def _csv_text(header: str, cols) -> str:
+    """One CSV line per row of cols, each column formatted by its dtype:
+    repr (the shortest round-trip form) for floats, str for anything else.
+    Rows are formatted and joined CSV_SLICE_ROWS at a time, from tolist()
+    of each column slice, so only one slice's cells are held at once."""
+    cols = [np.asarray(c) for c in cols]
+    fmts = [repr if c.dtype.kind == "f" else str for c in cols]
+    parts = [header]
+    for lo in range(0, len(cols[0]), CSV_SLICE_ROWS):
+        cells = (map(f, c[lo:lo + CSV_SLICE_ROWS].tolist())
+                 for f, c in zip(fmts, cols))
+        parts.append("\n".join(map(",".join, zip(*cells))))
+    return "\n".join(parts) + "\n"
+
+
+def run_csv_text(result: RunResult) -> str:
+    return _csv_text(RUN_HEADER, [getattr(result, c) for c in RUN_HEADER.split(",")])
+
+
+def write_run_csv(path, text: str) -> None:
+    """Write run_csv_text's text of one run."""
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def write_curve_csv(path, curve: RegretCurve) -> None:
-    _write_rows(path, CURVE_HEADER, (curve.t, curve.mean, curve.std))
+    Path(path).write_text(_csv_text(CURVE_HEADER, (curve.t, curve.mean, curve.std)),
+                          encoding="utf-8")
+
+
+def _job(config: RunConfig, seed: int, write: bool):
+    """One (config, seed) job: its run and, if write, its run_*.csv text,
+    formatted in the process that simulated it.  run_single and run_csv_text
+    are looked up at call time, so a patched one sees every job."""
+    result = run_single(config, seed)
+    return result, run_csv_text(result) if write else None
 
 
 def _experiments(configs: Sequence[RunConfig],
@@ -181,7 +205,8 @@ def _experiments(configs: Sequence[RunConfig],
     """Every (config, seed) job on one pool, config-major and in seed order.
     Each config is aggregated and, if write, its CSVs and SVG emitted as soon
     as its seeds are in, while later configs still run; so a run that raises
-    leaves the files of every config finished before it.
+    leaves the files of every config finished before it.  Each run_*.csv
+    text comes formatted from the job; only this process writes files.
 
     The worker count and the output directories come first: a bad
     HTE_BANDIT_THREADS or a directory that cannot be created is a
@@ -198,14 +223,15 @@ def _experiments(configs: Sequence[RunConfig],
     experiments = []
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else contextlib.nullcontext()) as pool:
-        runs = (pool.map if pool else map)(run_single, cfgs, seeds)
+        jobs = (pool.map if pool else map)(_job, cfgs, seeds, itertools.repeat(write))
         for config in configs:
-            results = [next(runs) for _ in config.seeds]
+            done = [next(jobs) for _ in config.seeds]
+            results = [r for r, _ in done]
             curve = aggregate_curve(results)
             if write:
                 out = Path(config.output_dir)
-                for r in results:
-                    write_run_csv(out / f"run_{r.seed}.csv", r)
+                for r, text in done:
+                    write_run_csv(out / f"run_{r.seed}.csv", text)
                 write_curve_csv(out / "curve.csv", curve)
                 series = [Series(config.algorithm, curve.t, curve.mean, curve.std)]
                 write_chart(out / "curve.svg", series,
@@ -236,7 +262,8 @@ def compare(config: RunConfig, algorithms: Sequence[str]) -> Dict[str, Experimen
     mean = np.array([results[a].curve.final_mean() for a in algorithms])
     std = np.array([results[a].curve.final_std() for a in algorithms])
     ratio = mean / mean[0] if mean[0] != 0 else np.full(mean.size, np.nan)
-    _write_rows(out / "compare.csv", COMPARE_HEADER, (algorithms, mean, std, ratio))
+    (out / "compare.csv").write_text(
+        _csv_text(COMPARE_HEADER, (algorithms, mean, std, ratio)), encoding="utf-8")
     series = [Series(a, results[a].curve.t, results[a].curve.mean,
                      results[a].curve.std) for a in algorithms]
     write_chart(out / "compare.svg", series,

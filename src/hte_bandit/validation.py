@@ -45,8 +45,7 @@ class FiniteInstance:
             raise ValueError("inconsistent table shapes")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("context probabilities must form a distribution")
-        if np.any(k < 0) or np.any(np.abs(k.sum(axis=1) - 1.0) > 1e-9):
-            raise ValueError("kernel rows must be distributions")
+        _check_kernel_rows(k)
         object.__setattr__(self, "context_probs", p)
         object.__setattr__(self, "f_star", f)
         object.__setattr__(self, "kernel", k)
@@ -65,21 +64,35 @@ class FiniteInstance:
         return self.f_star.shape[1]
 
 
-def _rloss_terms(inst: FiniteInstance, g: np.ndarray, mu: np.ndarray) -> np.ndarray:
+def _check_kernel_rows(kernel: np.ndarray) -> None:
+    """Every row of a kernel (n_ctx, K), or of a stack of kernels, must be a
+    distribution over the K actions."""
+    if np.any(kernel < 0) or np.any(np.abs(kernel.sum(axis=-1) - 1.0) > 1e-9):
+        raise ValueError("kernel rows must be distributions")
+
+
+def _rloss_terms(inst: FiniteInstance, g: np.ndarray, mu: np.ndarray,
+                 kernel: Optional[np.ndarray] = None) -> np.ndarray:
     """Per-context R-loss risk E_a[(r - mu(x) - <e_a - p(x), g(x, .)>)^2]
-    of one effect table (n_ctx, K), or of each table in an (m, n_ctx, K) stack."""
-    contrast = g - (inst.kernel * g).sum(axis=-1, keepdims=True)
+    of one effect table (n_ctx, K), or of each table in an (m, n_ctx, K) stack,
+    under inst's kernel or under a kernel stack that broadcasts against g,
+    such as (n_kern, 1, n_ctx, K) against a table stack."""
+    k = inst.kernel if kernel is None else kernel
+    contrast = g - (k * g).sum(axis=-1, keepdims=True)
     err = inst.f_star - mu[:, None] - contrast
     per = err * err
     if inst.noise_var is not None:
         per = per + inst.noise_var
-    return (inst.kernel * per).sum(axis=-1)
+    return (k * per).sum(axis=-1)
 
 
-def _squared_terms(inst: FiniteInstance, g: np.ndarray) -> np.ndarray:
-    """Per-context E_a[(g(x, a) - f_star(x, a))^2], for one table or a stack."""
+def _squared_terms(inst: FiniteInstance, g: np.ndarray,
+                   kernel: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-context E_a[(g(x, a) - f_star(x, a))^2], for one table or a stack,
+    under inst's kernel or a broadcasting kernel stack as in _rloss_terms."""
+    k = inst.kernel if kernel is None else kernel
     delta = g - inst.f_star
-    return (inst.kernel * delta * delta).sum(axis=-1)
+    return (k * delta * delta).sum(axis=-1)
 
 
 def exact_rloss_risk(inst: FiniteInstance, g: np.ndarray, mu: np.ndarray) -> float:
@@ -136,29 +149,33 @@ def misspec_bound_check(inst: FiniteInstance, model_class: Sequence[np.ndarray],
     as a risk difference under a fixed zero nuisance, not via the gap
     identity, so the two routes stay independent.
 
-    Each kernel scores the whole class at once, stacked behind f_star (the
-    excess risk's baseline) as one (1 + m, n_ctx, K) array, and takes each
-    member's context-weighted sum as its own dot product, as the one-table
-    risk functions do."""
+    Every kernel scores the whole class at once: the kernels are stacked as
+    one (n_kern, 1, n_ctx, K) array against the class stacked behind f_star
+    (the excess risk's baseline) as one (1 + m, n_ctx, K) array, and each
+    (kernel, member) pair takes its context-weighted sum as its own dot
+    product, as the one-table risk functions do."""
+    shape = inst.f_star.shape
+    kerns = [np.asarray(k, float) for k in kernels]
+    if any(k.shape != shape for k in kerns):
+        raise ValueError("inconsistent table shapes")
+    stack = np.array(kerns).reshape(-1, 1, *shape)
+    _check_kernel_rows(stack)
     mu0 = np.zeros(inst.num_contexts)
     tables = np.stack([inst.f_star, *(np.asarray(g, float) for g in model_class)])
-    holds = True
-    worst = np.inf
-    max_e, max_s = -np.inf, -np.inf
-    best_e_last = best_s_last = np.nan
-    for kern in kernels:
-        sub = FiniteInstance(inst.context_probs, inst.f_star, np.asarray(kern, float),
-                             inst.noise_var)
-        p = sub.context_probs
-        base, *risks = [float(p @ row) for row in _rloss_terms(sub, tables, mu0)]
-        best_e = min(r - base for r in risks)
-        best_s = min(float(p @ row) for row in _squared_terms(sub, tables[1:]))
-        holds = holds and (best_e <= best_s + tol)
-        worst = min(worst, best_s - best_e)
-        max_e = max(max_e, best_e)
-        max_s = max(max_s, best_s)
-        best_e_last, best_s_last = best_e, best_s
-    return BoundReport(holds, best_e_last, best_s_last, worst, max_e, max_s)
+    p = inst.context_probs
+
+    def risks(terms):
+        dots = [p.dot(row) for row in terms.reshape(-1, p.size)]
+        return np.array(dots).reshape(terms.shape[:2])
+
+    rloss = risks(_rloss_terms(inst, tables, mu0, stack))
+    best_e = (rloss[:, 1:] - rloss[:, :1]).min(axis=1)
+    best_s = risks(_squared_terms(inst, tables[1:], stack)).min(axis=1)
+    last = (float(best_e[-1]), float(best_s[-1])) if kerns else (np.nan, np.nan)
+    return BoundReport(bool(np.all(best_e <= best_s + tol)), *last,
+                       float(np.min(best_s - best_e, initial=np.inf)),
+                       float(np.max(best_e, initial=-np.inf)),
+                       float(np.max(best_s, initial=-np.inf)))
 
 
 def mc_excess_risk(context_sampler: Callable[[np.random.Generator], np.ndarray],

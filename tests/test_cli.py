@@ -1,6 +1,7 @@
 """Config parsing, CSV/SVG emission, and the command-line entry points."""
 
 import filecmp
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -79,6 +80,7 @@ def test_config_file_and_overrides(tmp_path):
     ["policy.delta=5e-322"],                  # delta' / m^2 underflows by the last epoch
     ["env.scenario=nonstationary", "env.period=1e-310", "env.horizon=50"],  # drift angle overflows
     ["policy.algorithm=uniform", "schedule.kind=explicit_list", "schedule.boundaries=10,20"],
+    ["env.scenario=nonstationary", "policy.delta=1e-310", "env.horizon=3000"],  # monitor term overflows
 ])
 def test_bad_config_raises(overrides):
     with pytest.raises(ConfigError):
@@ -292,9 +294,10 @@ def test_compare_writes_each_algorithm_once_its_seeds_are_in(tmp_path, monkeypat
         events.append(("run", config.algorithm, seed))
         return real_run(config, seed)
 
-    def write_spy(path, result):
-        events.append(("write", Path(path).parent.name, result.seed))
-        real_write(path, result)
+    def write_spy(path, text):
+        events.append(("write", Path(path).parent.name,
+                       int(Path(path).stem.removeprefix("run_"))))
+        real_write(path, text)
 
     monkeypatch.setattr(runner, "run_single", run_spy)
     monkeypatch.setattr(runner, "write_run_csv", write_spy)
@@ -307,6 +310,30 @@ def test_compare_writes_each_algorithm_once_its_seeds_are_in(tmp_path, monkeypat
                       ("write", "hte_igw", 1), ("write", "hte_igw", 2),
                       ("run", "uniform", 1), ("run", "uniform", 2),
                       ("write", "uniform", 1), ("write", "uniform", 2)]
+
+
+def test_compare_formats_each_run_csv_in_a_worker(tmp_path, monkeypatch):
+    """On two workers every run_*.csv is formatted by the worker that
+    simulated its run, and none by the coordinating process."""
+    from hte_bandit import runner
+
+    log = tmp_path / "pids.txt"
+    real_text = runner.run_csv_text
+
+    def text_spy(result):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(f"{os.getpid()}\n")
+        return real_text(result)
+
+    monkeypatch.setattr(runner, "run_csv_text", text_spy)
+    monkeypatch.setenv("HTE_BANDIT_THREADS", "2")
+    assert cli.main(["compare", "--algos", "hte_igw,uniform",
+                     "--set", "env.horizon=100", "--set", "env.d=3",
+                     "--set", "run.seeds=1",
+                     "--set", f"run.output_dir={tmp_path / 'out'}"]) == 0
+    pids = log.read_text(encoding="utf-8").split()
+    assert len(pids) == 2 and str(os.getpid()) not in pids
+    assert len(list((tmp_path / "out").rglob("run_*.csv"))) == 2
 
 
 def test_uniform_regret_slope_matches_oracle(tmp_path):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from hte_bandit import svg
-from hte_bandit.runner import (CURVE_HEADER, RUN_HEADER, RegretCurve, RunResult,
-                               write_curve_csv, write_run_csv)
+from hte_bandit.runner import (CSV_SLICE_ROWS, CURVE_HEADER, RUN_HEADER, RegretCurve,
+                               RunResult, run_csv_text, write_curve_csv, write_run_csv)
 from hte_bandit.svg import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE,
                             WIDTH, Series, line_chart)
 
@@ -63,7 +63,7 @@ def awkward_result(T: int) -> RunResult:
 @pytest.mark.parametrize("T", [0, 1, 7])
 def test_csv_writers_match_per_value_formatting(tmp_path, T):
     res = awkward_result(T)
-    write_run_csv(tmp_path / "run.csv", res)
+    write_run_csv(tmp_path / "run.csv", run_csv_text(res))
     assert (tmp_path / "run.csv").read_bytes() == reference_run_csv(res).encode()
     curve = RegretCurve(res.t, res.gamma, res.reward)
     write_curve_csv(tmp_path / "curve.csv", curve)
@@ -71,6 +71,15 @@ def test_csv_writers_match_per_value_formatting(tmp_path, T):
     if T == 0:
         assert (tmp_path / "run.csv").read_text() == RUN_HEADER + "\n"
         assert (tmp_path / "curve.csv").read_text() == CURVE_HEADER + "\n"
+
+
+def test_csv_writers_match_per_value_formatting_across_a_slice(tmp_path):
+    """Three rows past the first slice of rows the writers format at once."""
+    res = awkward_result(CSV_SLICE_ROWS + 3)
+    assert run_csv_text(res) == reference_run_csv(res)
+    curve = RegretCurve(res.t, res.gamma, res.reward)
+    write_curve_csv(tmp_path / "curve.csv", curve)
+    assert (tmp_path / "curve.csv").read_bytes() == reference_curve_csv(curve).encode()
 
 
 def reference_line_chart(series, title="", x_label="", y_label="") -> str:
