@@ -105,6 +105,17 @@ def validation_checks(seed: int = 0) -> List[Check]:
 
 # -- entry point --------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """A validation seed: a nonnegative integer, as SeedSequence requires."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {seed}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="hte-bandit",
                                 description="Contextual bandit simulation harness")
@@ -123,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated algorithm list")
 
     val_p = sub.add_parser("validate", help="run the structural check suite")
-    val_p.add_argument("--seed", type=int, default=0)
+    val_p.add_argument("--seed", type=_seed, default=0)
     return p
 
 

@@ -27,7 +27,7 @@ from .config import ConfigError, RunConfig
 from .core import STREAM_ACTION, STREAM_CONTEXT, STREAM_NOISE, rng_stream
 from .environments import build_environment
 from .policy import FitRecord
-from .svg import Series, write_chart
+from .svg import CSV_SLICE_ROWS, Series, write_chart
 
 RUN_HEADER = "t,epoch,safe,gamma,action,propensity,reward,expected_regret,cum_expected_regret"
 CURVE_HEADER = "t,mean_cum_regret,std_cum_regret"
@@ -160,20 +160,31 @@ def _worker_count(jobs: int) -> int:
 
 # -- file emission -----------------------------------------------------------
 
-CSV_SLICE_ROWS = 1 << 15
+def _cells(c: np.ndarray) -> list:
+    """The CSV cells of one nonempty column slice, formatted by its dtype:
+    repr (the shortest round-trip form) for floats, str for anything else.
+    A numeric column formats one cell per run of consecutive equal values
+    and repeats it over the run; runs are found on the values' bits, so 0.0
+    and -0.0, or two NaN payloads, are never merged."""
+    fmt = repr if c.dtype.kind == "f" else str
+    if c.dtype.kind not in "biuf":
+        return list(map(fmt, c.tolist()))
+    bits = c.view(f"u{c.itemsize}")
+    start = np.empty(c.size, dtype=bool)
+    start[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=start[1:])
+    cells = np.array(list(map(fmt, c[start].tolist())), dtype=object)
+    return cells[np.cumsum(start) - 1].tolist()
 
 
 def _csv_text(header: str, cols) -> str:
-    """One CSV line per row of cols, each column formatted by its dtype:
-    repr (the shortest round-trip form) for floats, str for anything else.
-    Rows are formatted and joined CSV_SLICE_ROWS at a time, from tolist()
-    of each column slice, so only one slice's cells are held at once."""
+    """One CSV line per row of cols, each column formatted by _cells.  Rows
+    are formatted and joined CSV_SLICE_ROWS at a time, so only one slice's
+    cells are held at once."""
     cols = [np.asarray(c) for c in cols]
-    fmts = [repr if c.dtype.kind == "f" else str for c in cols]
     parts = [header]
     for lo in range(0, len(cols[0]), CSV_SLICE_ROWS):
-        cells = (map(f, c[lo:lo + CSV_SLICE_ROWS].tolist())
-                 for f, c in zip(fmts, cols))
+        cells = (_cells(c[lo:lo + CSV_SLICE_ROWS]) for c in cols)
         parts.append("\n".join(map(",".join, zip(*cells))))
     return "\n".join(parts) + "\n"
 

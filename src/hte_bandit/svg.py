@@ -16,6 +16,14 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, HEIGHT = 720, 460
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 36, 44
 
+# Rows of a CSV, or points of a chart, formatted at once: the writers hold
+# one slice's strings at a time.
+CSV_SLICE_ROWS = 1 << 15
+
+# "{:.2f}" of k / 100 for 0 <= k < 100000 is UNITS[k // 100] + HUNDREDTHS[k % 100].
+UNITS = np.array([str(i) for i in range(1000)], dtype=object)
+HUNDREDTHS = np.array([f".{i:02d}" for i in range(100)], dtype=object)
+
 
 def _nice_ticks(lo: float, hi: float, n: int = 6) -> List[float]:
     if hi <= lo:
@@ -34,6 +42,26 @@ def _nice_ticks(lo: float, hi: float, n: int = 6) -> List[float]:
         ticks.append(round(v, 10))
         v += step
     return ticks
+
+
+def _fixed2(v: np.ndarray) -> np.ndarray:
+    """"{:.2f}".format of each value of v, as an object array of strings.
+
+    Where v is finite, has no sign bit, is below 999 and 100*v is not within
+    1e-6 of a tie, k = rint(100*v) is the unique integer nearest the exact
+    100*v (the product is rounded by at most 1.2e-11 there), so "%.2f" prints
+    k / 100, which the tables give without the general formatter.  Every
+    other value goes through "{:.2f}".format.
+    """
+    with np.errstate(invalid="ignore"):
+        h = 100.0 * v
+        k = np.rint(h)
+        table = (v < 999) & ~np.signbit(v) & (np.abs(h - k) < 0.5 - 1e-6)
+    out = np.empty(v.size, dtype=object)
+    ki = k[table].astype(np.int64)
+    out[table] = UNITS[ki // 100] + HUNDREDTHS[ki % 100]
+    out[~table] = list(map("{:.2f}".format, v[~table].tolist()))
+    return out
 
 
 class Series:
@@ -77,8 +105,22 @@ def line_chart(series: Sequence[Series], title: str = "",
     def py(v):
         return MARGIN_T + ph * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
-    def points(x: np.ndarray, y: np.ndarray) -> str:
-        return " ".join(map("{:.2f},{:.2f}".format, px(x).tolist(), py(y).tolist()))
+    def points(s: Series):
+        """The polyline's points of s and, if s has a band, the polygon's:
+        its upper edge, then its lower edge reversed.  Each x is formatted
+        once for all three, CSV_SLICE_ROWS points at a time."""
+        banded = s.band is not None and np.any(s.band > 0)
+        line, upper, lower = [], [], []
+        for lo in range(0, s.x.size, CSV_SLICE_ROWS):
+            cut = slice(lo, lo + CSV_SLICE_ROWS)
+            xs = _fixed2(px(s.x[cut])) + ","
+            m = s.mean[cut]
+            line.append(" ".join((xs + _fixed2(py(m))).tolist()))
+            if banded:
+                b = s.band[cut]
+                upper.append(" ".join((xs + _fixed2(py(m + b))).tolist()))
+                lower.append(" ".join((xs + _fixed2(py(m - b)))[::-1].tolist()))
+        return " ".join(line), " ".join(upper + lower[::-1]) if banded else None
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
            f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -116,12 +158,10 @@ def line_chart(series: Sequence[Series], title: str = "",
 
     for i, s in enumerate(xs):
         color = PALETTE[i % len(PALETTE)]
-        if s.band is not None and np.any(s.band > 0):
-            upper = points(s.x, s.mean + s.band)
-            lower = points(s.x[::-1], s.mean[::-1] - s.band[::-1])
-            out.append(f'<polygon points="{upper} {lower}" '
+        pts, polygon = points(s)
+        if polygon is not None:
+            out.append(f'<polygon points="{polygon}" '
                        f'fill="{color}" fill-opacity="0.15" stroke="none"/>')
-        pts = points(s.x, s.mean)
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.6"/>')
 

@@ -367,6 +367,17 @@ def test_validate_command_passes(capsys):
     assert "4/4 checks passed" in out
 
 
+@pytest.mark.parametrize("seed", ["-1", "abc"])
+def test_validate_rejects_a_bad_seed_with_exit_2(capsys, seed):
+    """Exit code 1 means a check failed, so a seed SeedSequence cannot take
+    is a usage error (2) from the parser, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["validate", "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and "Traceback" not in err
+
+
 def test_validate_output_matches_golden(capsys):
     """Every stat line of the default validate run, as pinned in
     tests/golden/validate.txt (read only)."""

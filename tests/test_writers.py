@@ -1,8 +1,13 @@
 """CSV and SVG writers against per-value reference formatters.
 
-The writers format whole columns and whole point arrays at once.  Each
-reference below formats one value at a time, the way the writers once did,
-and the two must agree byte for byte on awkward floats and large ints.
+The CSV writer formats one cell per run of consecutive equal values in a
+column slice (runs found on the values' bits) and repeats it over the run.
+The SVG writer prints a coordinate from two string tables wherever that is
+provably what "{:.2f}" prints, and through "{:.2f}" elsewhere.  Both work
+CSV_SLICE_ROWS values at a time.  Each reference below formats one value at
+a time, the way the writers once did, and the two must agree byte for byte
+on awkward floats, large ints, signed zeros, NaN payloads, ties and runs that
+cross a slice.
 """
 
 import math
@@ -10,10 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hte_bandit import svg
-from hte_bandit.runner import (CSV_SLICE_ROWS, CURVE_HEADER, RUN_HEADER, RegretCurve,
-                               RunResult, run_csv_text, write_curve_csv, write_run_csv)
+from hte_bandit.runner import (CSV_SLICE_ROWS, CURVE_HEADER, RUN_HEADER,
+                               RegretCurve, RunResult, run_csv_text,
+                               write_curve_csv, write_run_csv)
 from hte_bandit.svg import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE,
                             WIDTH, Series, line_chart)
 
@@ -46,6 +54,17 @@ def reference_curve_csv(curve: RegretCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """got == want; on a mismatch, report where the texts first differ
+    instead of letting pytest diff megabytes of text."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        lo = max(i - 40, 0)
+        pytest.fail(f"texts differ at line {got.count(chr(10), 0, i) + 1}: "
+                    f"{got[lo:i + 40]!r} != {want[lo:i + 40]!r}")
+
+
 def awkward_result(T: int) -> RunResult:
     def floats(shift):
         return np.array([AWKWARD[(i + shift) % len(AWKWARD)] for i in range(T)])
@@ -76,10 +95,67 @@ def test_csv_writers_match_per_value_formatting(tmp_path, T):
 def test_csv_writers_match_per_value_formatting_across_a_slice(tmp_path):
     """Three rows past the first slice of rows the writers format at once."""
     res = awkward_result(CSV_SLICE_ROWS + 3)
-    assert run_csv_text(res) == reference_run_csv(res)
+    assert_same_text(run_csv_text(res), reference_run_csv(res))
     curve = RegretCurve(res.t, res.gamma, res.reward)
     write_curve_csv(tmp_path / "curve.csv", curve)
-    assert (tmp_path / "curve.csv").read_bytes() == reference_curve_csv(curve).encode()
+    assert_same_text((tmp_path / "curve.csv").read_bytes().decode(),
+                     reference_curve_csv(curve))
+
+
+def nan_with_payload(payload: int, negative: bool = False) -> float:
+    bits = 0x7FF8_0000_0000_0000 | payload | (1 << 63 if negative else 0)
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+def test_csv_runs_split_on_bits_not_equality(tmp_path):
+    """Adjacent 0.0 and -0.0 compare equal and NaNs never do; each keeps its
+    own cell.  Runs straddle both slice boundaries of a three-slice column."""
+    specials = np.array([0.0, -0.0, -0.0, 0.0, nan_with_payload(0), nan_with_payload(1),
+                         nan_with_payload(1), nan_with_payload(0, True), math.inf,
+                         -math.inf, -math.inf, 5e-324, -5e-324])
+    T = 2 * CSV_SLICE_ROWS + 3
+    run = np.zeros(T)
+    run[CSV_SLICE_ROWS - 4:CSV_SLICE_ROWS + 4] = -0.0
+    run[2 * CSV_SLICE_ROWS - 1:] = 0.1 + 0.2
+    run[:specials.size] = specials
+    steps = np.repeat(np.arange(T // 1000 + 1, dtype=np.int64), 1000)[:T]
+    res = RunResult(seed=1, t=np.arange(1, T + 1), epoch=steps,
+                    safe=np.ones(T, dtype=int), gamma=run,
+                    action=np.where(steps % 2 == 0, 1, 2),
+                    propensity=np.resize(specials, T), reward=-run,
+                    expected_regret=np.resize([0.0, -0.0], T),
+                    cum_expected_regret=np.cumsum(run))
+    text = run_csv_text(res)
+    assert_same_text(text, reference_run_csv(res))
+    gammas = [line.split(",")[3] for line in text.splitlines()[1:4]]
+    assert gammas == ["0.0", "-0.0", "-0.0"]
+    curve = RegretCurve(res.t, res.gamma, res.propensity)
+    write_curve_csv(tmp_path / "curve.csv", curve)
+    assert_same_text((tmp_path / "curve.csv").read_bytes().decode(),
+                     reference_curve_csv(curve))
+
+
+# Signed zeros, the smallest subnormal, negatives, non-finite values, 999
+# and above, and values next to a tie of the last printed digit.
+FIXED2_EDGES = [-0.0, 0.0, 5e-324, -5e-324, -0.004, -0.005, -0.006, -1.0, -123.456,
+                math.nan, -math.nan, math.inf, -math.inf, 998.99, 998.994999,
+                998.995, 998.9950001, np.nextafter(999.0, 0.0), 999.0, 999.004,
+                999.005, 999.994, 999.995, 999.996, 999.999, 1000.0, 1234.565, 1e300,
+                0.125, 0.375, 2.675, 1.005]
+
+
+def test_fixed2_matches_format_on_every_hundredth_and_half():
+    v = np.arange(200_000) / 200.0
+    assert v[-1] < 1000.0 and v[1] == 0.005
+    near = np.concatenate([np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
+    for arr in (v, near, np.array(FIXED2_EDGES)):
+        assert svg._fixed2(arr).tolist() == list(map("{:.2f}".format, arr.tolist()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(-10.0, 1100.0), min_size=1, max_size=50))
+def test_fixed2_matches_format_property(values):
+    assert svg._fixed2(np.array(values)).tolist() == list(map("{:.2f}".format, values))
 
 
 def reference_line_chart(series, title="", x_label="", y_label="") -> str:
@@ -170,6 +246,7 @@ def reference_line_chart(series, title="", x_label="", y_label="") -> str:
 def chart_cases():
     rng = np.random.default_rng(7)
     t = np.arange(1, 301, dtype=float)
+    n = CSV_SLICE_ROWS + 3
     walk = np.cumsum(rng.uniform(0.0, 1.0, (3, t.size)), axis=1)
     return {
         "one point": [Series("a", [5.0], [0.1 + 0.2], [0.5])],
@@ -177,14 +254,18 @@ def chart_cases():
                       Series("b", t, -walk[1], None)],
         "banded": [Series(f"s{i}", t, walk[i] * (i + 1), 0.1 * walk[i] + 1e-9 * i)
                    for i in range(3)] + [Series("empty", [], [], [])],
+        "past a slice": [Series("long", np.arange(1, n + 1, dtype=float),
+                                np.cumsum(rng.uniform(0.0, 1.0, n)),
+                                np.sqrt(np.arange(n, dtype=float))),
+                         Series("flat", [1.0, float(n)], [0.0, -0.0], [0.0, 0.0])],
     }
 
 
-@pytest.mark.parametrize("case", ["one point", "zero band", "banded"])
+@pytest.mark.parametrize("case", ["one point", "zero band", "banded", "past a slice"])
 def test_line_chart_matches_per_point_formatting(tmp_path, case):
     series = chart_cases()[case]
     got = line_chart(series, title="t", x_label="round", y_label="regret")
-    assert got == reference_line_chart(series, "t", "round", "regret")
+    assert_same_text(got, reference_line_chart(series, "t", "round", "regret"))
     assert ("<polygon" in got) == (case != "zero band")
     svg.write_chart(tmp_path / "c.svg", series, "t", "round", "regret")
     assert Path(tmp_path / "c.svg").read_text(encoding="utf-8") == got
