@@ -278,8 +278,9 @@ class SampleBatch(Sequence):
     1..K, propensity rows P (n, K) (each a distribution), rewards r (n,)
     and, once cross-fitting has run, nuisance values mu (n,).
 
-    Indexing and iteration yield LoggedSample rows, and a slice yields a
-    batch of those rows, so a batch serves wherever a sample list does;
+    Indexing (and so the Sequence base's iteration) yields LoggedSample
+    rows, and a slice yields a batch of those rows, so a batch serves
+    wherever a sample list does;
     SampleBatch.of turns a sample list into columns.
     """
 
@@ -325,9 +326,6 @@ class SampleBatch(Sequence):
                             propensities=ActionDistribution.trusted(self.P[i]),
                             reward=float(self.r[i]),
                             mu_hat=None if self.mu is None else float(self.mu[i]))
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
 
 DOUBLING = "doubling"

@@ -18,7 +18,7 @@ construction from the environment seed's parameter stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -61,35 +61,18 @@ class GroundTruth:
 
 
 @dataclass(frozen=True)
-class Round:
-    """One environment draw: the intended noise is shared across actions."""
-
-    t: int
-    context: np.ndarray
-    mean_rewards: np.ndarray   # f(x, .) as a (K,) vector
-    noise: float
-
-    def reward(self, action: int) -> float:
-        return float(self.mean_rewards[action - 1] + self.noise)
-
-
-@dataclass(frozen=True)
 class Rounds:
     """The draws of rounds t0, t0 + 1, ..., t0 + n - 1 as column arrays."""
 
     t0: int
     contexts: np.ndarray       # (n, d)
     mean_rewards: np.ndarray   # (n, K)
-    noise: np.ndarray          # (n,)
+    noise: np.ndarray          # (n,), each shared across the K actions
 
     def tail(self, i: int) -> "Rounds":
         """The rounds from row i on."""
         return Rounds(self.t0 + i, self.contexts[i:], self.mean_rewards[i:],
                       self.noise[i:])
-
-    def row(self, i: int) -> Round:
-        return Round(t=self.t0 + i, context=self.contexts[i],
-                     mean_rewards=self.mean_rewards[i], noise=float(self.noise[i]))
 
     def _chosen(self, actions: np.ndarray) -> np.ndarray:
         return self.mean_rewards[np.arange(actions.shape[0]), actions - 1]
@@ -210,8 +193,9 @@ class Environment:
         return Rounds(t0, X, self.mean_rewards(X, t), self.sample_noise(rng_noise, n))
 
     def sample_round(self, rng_context: np.random.Generator,
-                     rng_noise: np.random.Generator, t: int = 1) -> Round:
-        return self.sample_rounds(rng_context, rng_noise, t, 1).row(0)
+                     rng_noise: np.random.Generator, t: int = 1) -> Rounds:
+        """Round t alone: the one-row Rounds."""
+        return self.sample_rounds(rng_context, rng_noise, t, 1)
 
 
 def reward_bounds(spec: EnvironmentSpec) -> Tuple[float, float]:
@@ -231,14 +215,3 @@ def reward_bounds(spec: EnvironmentSpec) -> Tuple[float, float]:
 
 def build_environment(spec: EnvironmentSpec) -> Environment:
     return Environment(spec)
-
-
-def optimal_action(round_: Round) -> int:
-    """Best action under the round's mean rewards, lowest index on ties."""
-    return int(np.argmax(round_.mean_rewards)) + 1
-
-
-def expected_regret(round_: Round, action: int) -> float:
-    """Mean-reward shortfall of `action`; nonnegative by construction."""
-    m = round_.mean_rewards
-    return float(np.max(m) - m[action - 1])

@@ -287,17 +287,12 @@ def fit_squared_error_lasso(samples: Sequence[LoggedSample], feature_map: Featur
 
 
 def empirical_rloss(model: LinearModel, samples: Sequence[LoggedSample]) -> float:
-    """Mean of (r - mu_hat - <e_a - p, scores>)^2 over a logged batch."""
-    if len(samples) == 0:
-        raise ValueError("empty sample batch")
-    total = 0.0
-    for s in samples:
-        if s.mu_hat is None:
-            raise ValueError("samples lack cross-fitted mu_hat")
-        scores = model.predict(s.context)
-        contrast = scores[s.action - 1] - float(s.propensities.probs @ scores)
-        total += (s.reward - s.mu_hat - contrast) ** 2
-    return total / len(samples)
+    """Mean of (r - mu_hat - <e_a - p, scores>)^2 over a logged batch: the
+    squared residual of theta on the R-loss design, whose row z_t gives
+    <theta, z_t> = <e_a - p, scores>."""
+    Z, y = residualized_design(samples, model.feature_map)
+    r = y - Z @ model.theta
+    return float(r @ r) / r.shape[0]
 
 
 def estimation_rate(n: int, confidence: float, dim: int, scale: float = 1.0) -> float:

@@ -2,7 +2,8 @@
 
 run_single simulates one epoch block at a time.  The reference here drives
 the public one-round API instead (Environment.sample_round, Policy.act and
-Policy.record, one call each per round), and every logged column, every
+Policy.record, one call each per round) and takes each round's reward and
+regret from its mean rewards and noise itself; every logged column, every
 refit's data hash and the monitor's outcome must agree bit for bit.  The
 kernel figures run_single computes per block (the implicit-regret slack and
 the floor margin) must match the same figures taken one round at a time.
@@ -15,7 +16,7 @@ import pytest
 
 from hte_bandit.config import RunConfig
 from hte_bandit.core import STREAM_ACTION, STREAM_CONTEXT, STREAM_NOISE, rng_stream
-from hte_bandit.environments import build_environment, expected_regret
+from hte_bandit.environments import build_environment
 from hte_bandit.runner import run_single
 
 DESK = dict(d=20, num_actions=2, sigma=0.1, horizon=5000,
@@ -40,17 +41,18 @@ def round_by_round(cfg: RunConfig, seed: int) -> dict:
     K = cfg.num_actions
     for t in range(1, cfg.horizon + 1):
         rnd = env.sample_round(rc, rn, t)
-        action, dist, info = pol.act(t, rnd.context, ra)
+        x, m = rnd.contexts[0], rnd.mean_rewards[0]
+        action, dist, info = pol.act(t, x, ra)
         s, g = info["scores"], info["gamma"]
         slack = max(slack, float(dist.probs @ (s.max() - s)) - K / g)
         margin = min(margin, dist.prob(action) - 1.0 / (K + g * (s.max() - s.min())))
-        reward = rnd.reward(action)
+        reward = float(m[action - 1] + rnd.noise[0])
         was_safe = pol.safe
-        pol.record(t, rnd.context, action, dist, reward)
+        pol.record(t, x, action, dist, reward)
         if was_safe and not pol.safe:
             trigger_round = t
         rows.append((t, info["epoch"], int(info["safe"]), info["gamma"], action,
-                     dist.prob(action), reward, expected_regret(rnd, action)))
+                     dist.prob(action), reward, float(m.max() - m[action - 1])))
     cols = dict(zip(COLUMNS, (np.array(c) for c in zip(*rows))))
     cols["cum_expected_regret"] = np.cumsum(cols["expected_regret"])
     return dict(cols=cols, hashes=[f.data_hash for f in pol.fits],

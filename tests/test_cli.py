@@ -2,6 +2,8 @@
 
 import filecmp
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -229,6 +231,28 @@ def test_worker_count_does_not_change_artifacts(tmp_path, monkeypatch):
     for name in ("run_1.csv", "run_2.csv", "curve.csv"):
         assert filecmp.cmp(tmp_path / "1" / name, tmp_path / "2" / name,
                            shallow=False), name
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A wide lin_const run writes the same run_7.csv with the three BLAS
+    thread variables unset as with them set to 1, since the package pins
+    one thread itself.  Its fits round differently on more than one BLAS
+    thread, so this test can only fail on a multi-core host."""
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    sets = ["env.scenario=lin_const", "env.d=200", "env.num_actions=8",
+            "schedule.kind=fixed_length", "schedule.base=3000", "env.horizon=6001",
+            "run.seeds=7", "oracle.rate_const=0.01"]
+    for name, pin in (("unset", {}), ("pinned", dict.fromkeys(blas, "1"))):
+        env = {k: v for k, v in os.environ.items() if k not in blas}
+        env.update(pin, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        args = [a for kv in sets + [f"run.output_dir={tmp_path / name}"]
+                for a in ("--set", kv)]
+        subprocess.run([sys.executable, "-m", "hte_bandit.cli", "run", *args],
+                       env=env, check=True, capture_output=True)
+    assert filecmp.cmp(tmp_path / "unset" / "run_7.csv",
+                       tmp_path / "pinned" / "run_7.csv", shallow=False)
 
 
 def test_compare_ratio_and_artifacts(tmp_path, capsys):

@@ -9,10 +9,8 @@ from hte_bandit.environments import (
     Environment,
     EnvironmentSpec,
     GroundTruth,
-    Round,
+    Rounds,
     build_environment,
-    expected_regret,
-    optimal_action,
     reward_bounds,
 )
 
@@ -39,8 +37,8 @@ def test_paper_scale_spec_accepted():
                                             num_actions=2, sigma=0.1,
                                             seed=1))
     rnd = env.sample_round(rng_stream(1, 0), rng_stream(1, 1), t=1)
-    assert rnd.context.shape == (100,)
-    assert rnd.mean_rewards.shape == (2,)
+    assert rnd.contexts.shape == (1, 100)
+    assert rnd.mean_rewards.shape == (1, 2)
 
 
 def test_lin_lin_mean_reward_with_basis_truth():
@@ -131,8 +129,8 @@ def test_rewards_lie_within_reward_bounds(scenario):
         rc, rn = rng_stream(seed, 0), rng_stream(seed, 1)
         for t in range(1, 501):
             rnd = env.sample_round(rc, rn, t)
-            means.append(rnd.mean_rewards)
-            rewards.append(rnd.mean_rewards + rnd.noise)
+            means.append(rnd.mean_rewards[0])
+            rewards.append(rnd.mean_rewards[0] + rnd.noise[0])
     means, rewards = np.concatenate(means), np.concatenate(rewards)
     lo, hi = reward_bounds(spec)
     assert lo <= rewards.min() and rewards.max() <= hi
@@ -205,15 +203,13 @@ def test_rebuild_is_deterministic():
 def test_round_shares_noise_across_actions():
     env = build_environment(spec_for("lin_lin"))
     rnd = env.sample_round(rng_stream(1, 0), rng_stream(1, 1), t=3)
-    offsets = [rnd.reward(a) - rnd.mean_rewards[a - 1] for a in (1, 2)]
-    np.testing.assert_allclose(offsets, rnd.noise, atol=1e-12)
+    offsets = [rnd.rewards(np.array([a]))[0] - rnd.mean_rewards[0, a - 1]
+               for a in (1, 2)]
+    np.testing.assert_allclose(offsets, rnd.noise[0], atol=1e-12)
 
 
 def test_regret_accounting():
-    rnd = Round(t=1, context=np.zeros(2), mean_rewards=np.array([0.2, 0.9]),
-                noise=0.0)
-    assert expected_regret(rnd, 2) == 0.0
-    assert expected_regret(rnd, 1) == pytest.approx(0.7, abs=1e-12)
-    tie = Round(t=1, context=np.zeros(2), mean_rewards=np.array([0.5, 0.5]),
-                noise=0.0)
-    assert optimal_action(tie) == 1
+    rnd = Rounds(t0=1, contexts=np.zeros((1, 2)),
+                 mean_rewards=np.array([[0.2, 0.9]]), noise=np.zeros(1))
+    assert rnd.expected_regrets(np.array([2]))[0] == 0.0
+    assert rnd.expected_regrets(np.array([1]))[0] == pytest.approx(0.7, abs=1e-12)

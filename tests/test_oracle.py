@@ -54,7 +54,8 @@ def env_batch(scenario, n, seed, d=6, sigma=0.1):
     for t in range(1, n + 1):
         rnd = env.sample_round(rng_c, rng_n, t)
         a = half.sample(rng_a)
-        out.append(logged(rnd.context, a, [0.5, 0.5], rnd.reward(a)))
+        out.append(logged(rnd.contexts[0], a, [0.5, 0.5],
+                          float(rnd.rewards(np.array([a]))[0])))
     return env, out
 
 
@@ -585,8 +586,9 @@ def test_empirical_rloss_frozen_values():
     assert empirical_rloss(exact, s) == pytest.approx(0.0, abs=1e-16)
 
 
-def test_empirical_rloss_matches_naive_double_loop():
-    fm = arm_block_map(3, 2)
+@pytest.mark.parametrize("kind", sorted(DESIGN_MAPS))
+def test_empirical_rloss_matches_naive_double_loop(kind):
+    fm = DESIGN_MAPS[kind](3, 2)
     rng = rng_stream(16, 0)
     theta = rng.standard_normal(fm.feature_dim)
     samples = []

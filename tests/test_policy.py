@@ -474,8 +474,8 @@ def test_fits_use_only_their_epoch_and_reproduce_bitwise(monkeypatch):
     rc, rn, ra = (rng_stream(9, s) for s in (0, 1, 2))
     for t in range(1, 601):
         rnd = env.sample_round(rc, rn, t)
-        a, dist, _ = pol.act(t, rnd.context, ra)
-        pol.record(t, rnd.context, a, dist, rnd.reward(a))
+        a, dist, _ = pol.act(t, rnd.contexts[0], ra)
+        pol.record(t, rnd.contexts[0], a, dist, float(rnd.rewards(np.array([a]))[0]))
 
     assert [f.data_epoch for f in pol.fits] == [1, 2, 3]
     assert len(batches) == len(pol.fits)
@@ -511,8 +511,8 @@ def test_model_selected_gamma_uses_reported_sparsity():
     rc, rn, ra = (rng_stream(3, s) for s in (0, 1, 2))
     for t in range(1, 301):
         rnd = env.sample_round(rc, rn, t)
-        a, dist, _ = pol.act(t, rnd.context, ra)
-        pol.record(t, rnd.context, a, dist, rnd.reward(a))
+        a, dist, _ = pol.act(t, rnd.contexts[0], ra)
+        pol.record(t, rnd.contexts[0], a, dist, float(rnd.rewards(np.array([a]))[0]))
     (rec,) = pol.fits
     rate = lambda n, z: estimation_rate(n, z, max(rec.model.sparsity, 1), 0.01)
     assert rec.gamma_next == gamma_schedule(rec.n, 2, cfg.delta / 2, 2, rate)
@@ -532,8 +532,8 @@ def test_fit_records_copy_the_deployed_model_fields(algorithm):
     rc, rn, ra = (rng_stream(4, s) for s in (0, 1, 2))
     for t in range(1, 601):
         rnd = env.sample_round(rc, rn, t)
-        a, dist, _ = pol.act(t, rnd.context, ra)
-        pol.record(t, rnd.context, a, dist, rnd.reward(a))
+        a, dist, _ = pol.act(t, rnd.contexts[0], ra)
+        pol.record(t, rnd.contexts[0], a, dist, float(rnd.rewards(np.array([a]))[0]))
 
     assert [f.data_epoch for f in pol.fits] == [1, 2, 3]
     for rec in pol.fits:
@@ -589,8 +589,8 @@ def test_refit_improves_holdout_rloss():
     rc, rn, ra = (rng_stream(101, s) for s in (0, 1, 2))
     for t in range(1, 8194):
         rnd = env.sample_round(rc, rn, t)
-        a, dist, _ = pol.act(t, rnd.context, ra)
-        pol.record(t, rnd.context, a, dist, rnd.reward(a))
+        a, dist, _ = pol.act(t, rnd.contexts[0], ra)
+        pol.record(t, rnd.contexts[0], a, dist, float(rnd.rewards(np.array([a]))[0]))
     old_model, old_gamma = pol.kernels[6]     # fit on the 2048-sample epoch
     new_model, _ = pol.kernels[7]             # fit on the 4096-sample epoch
 
