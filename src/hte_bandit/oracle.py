@@ -11,8 +11,12 @@ Two fitting routes share the linear machinery here:
 Both come in a ridge flavor (exact normal-equation solve, SPD Cholesky
 with an eigen-clipped minimum-norm fallback) and a lasso flavor (cyclic
 coordinate descent on RMS-standardized columns, intercept coordinates
-unpenalized).  Nuisance values mu_hat come from cross_fit_mu: per-fold
-ridge regressions predicting each sample from the complement of its fold.
+unpenalized).  A lasso fit computes Z^T Z once: the auto penalty's ridge
+pilot solves on it, and coordinate descent uses it to skip every zero
+coordinate that a rounding-safe bound shows would stay zero, with the same
+bits as visiting it.  Nuisance values mu_hat come from cross_fit_mu:
+per-fold ridge regressions predicting each sample from the complement of
+its fold.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from .core import STREAM_FOLD, FeatureMap, LoggedSample, SampleBatch, rng_stream
 EIGEN_CLIP = 1e-12        # relative eigenvalue cutoff for the min-norm fallback
 CD_TOL = 1e-8             # coordinate descent: max coefficient change per sweep
 CD_MAX_SWEEPS = 10_000
-CD_CHUNK = 64             # columns standardized at a time when building the CD design
+CD_CHUNK = 64             # columns standardized at a time by coordinate descent
+CD_BLOCK = 1 << 17        # elements per row block when coordinate descent scales Z
 
 
 def _solve_psd(A: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -168,12 +173,19 @@ def chosen_design(samples: Sequence[LoggedSample],
     return feature_map.design(batch.X, batch.A), batch.r.copy()
 
 
-def _ridge_fit(Z, y, ridge):
+def _ridge_fit(Z, y, ridge, gram=None):
+    """Ridge solve on Z's Gram.  A given gram (Z.T @ Z) is used in place of
+    a fresh one and left as it was found: the ridge goes on its diagonal for
+    the solve and the diagonal is then copied back."""
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    A = Z.T @ Z   # one bound array on both sides, so numpy takes the syrk path
+    A = Z.T @ Z if gram is None else gram   # one bound array: numpy takes the syrk path
+    diag = A.diagonal().copy()
     A[np.diag_indices_from(A)] += ridge
-    return _solve_psd(A, Z.T @ y)
+    try:
+        return _solve_psd(A, Z.T @ y)
+    finally:
+        A[np.diag_indices_from(A)] = diag
 
 
 def fit_rloss(samples: Sequence[LoggedSample], feature_map: FeatureMap,
@@ -192,70 +204,174 @@ def fit_squared_error(samples: Sequence[LoggedSample], feature_map: FeatureMap,
     return LinearModel(theta, feature_map, rank_deficient=deficient)
 
 
-def auto_lambda(Z: np.ndarray, y: np.ndarray, scale: float = 1.0) -> float:
+def auto_lambda(Z: np.ndarray, y: np.ndarray, scale: float = 1.0,
+                gram: Optional[np.ndarray] = None) -> float:
     """Penalty sigma_hat * scale * sqrt(2 log p / n) with sigma_hat the
-    residual standard deviation of a lightly ridged preliminary fit."""
+    residual standard deviation of a lightly ridged preliminary fit.  A
+    given gram (Z.T @ Z) is used by that fit and left unchanged."""
     n, p = Z.shape
-    theta, _ = _ridge_fit(Z, y, 1e-6 * n)
+    theta, _ = _ridge_fit(Z, y, 1e-6 * n, gram)
     sigma = float(np.std(y - Z @ theta))
     return scale * sigma * math.sqrt(2.0 * math.log(p) / n)
 
 
-def _coordinate_descent(Z, y, lam, penalized):
+def _coordinate_descent(Z, y, lam, penalized, gram=None):
     """Cyclic CD for (1/2n)||y - Z theta||^2 + lam * sum_{penalized} |theta_j|.
 
     Columns are standardized to unit RMS internally; returned coefficients
     live on the original scale.  Dead (all-zero) columns keep coefficient 0.
-    Returns (theta, converged, sweeps).
+    Returns (theta, converged, sweeps).  gram is Z.T @ Z (computed when not
+    given) and is only read.
 
-    The standardized design is held column-paired, W of shape
-    (ceil(p/2), n, 2) with column j at W[j // 2, :, j % 2], and built
-    CD_CHUNK columns at a time, so no n x p temporary sits beside Z and W.
-    A stride-2 column streams through memory, yet BLAS ddot sums it in the
-    same order as the stride-p column of Z; a unit-stride column would not,
-    so p == 1 keeps its unit-stride (1, n, 1) layout, as the (n, 1) Z has.
+    Screening.  A penalized coordinate at zero whose rho = z_j . r satisfies
+    |rho| <= lam * n stays at zero, so its visit changes nothing.  Alongside
+    the residual r, zr tracks Z^T r: it starts as Z^T y, and each move d of
+    coordinate k adds d * inv_s[k] * G[k].  Coordinate j is skipped when it
+    is penalized, at zero and |zr_j| inv_s_j + e_j < lam * n, where e_j
+    bounds both the drift of zr_j inv_s_j from the exact z_j . r and the
+    rounding of the ddot that a visit would make.  With u = 2^-53,
+    eta = 2^-1074 (which bounds the underflow error of one product) and
+    eps = (n + 16) 2u >= gamma_n + 16u,
+
+        e_j = 2 (nu_j (A + eps R) + inv_s_j B + Om),
+
+    where nu_j = sqrt(G_jj + n eta) inv_s_j (1 + eps) + om bounds the norms
+    of column j, unrounded (||Z_j|| / s_j) and standardized (||z_j||); R
+    bounds ||r||; om = (n + 1)^2 2^-530 bounds every underflow term that is
+    not scaled by inv_s_j (all norms nu are below 2 sqrt(n) + om and all
+    scales lie in [2^-537, 2^513]); eps R covers the visit's ddot and the
+    check's own product.  The accumulators start from Y >= ||y|| at
+    A = eps Y, B = n eta and Om = om (1 + Y), covering the rounding of
+    Z^T y, of inv_s and of the division that makes z_j.  Each move of size
+    |d| at k adds to
+
+    * A: eps (|d| nu_k + R), the Gram's and the update's rounding
+      (gamma_n + 9u) |d| nu_j nu_k, the residual update's u ||z_j|| (|d|
+      nu_k + R), and the rounding of zr_j's own sum, u |zr_j inv_s_j| <=
+      u (nu_j R + e_j); and om (1 + |d|), the residual update's underflow;
+    * B: n eta |d| inv_s_k, the Gram's underflow |d| n eta inv_s_j inv_s_k,
+      large only between two columns whose squares underflow;
+    * Om: om (1 + |d|), the underflow of the update's products;
+    * R (recomputed from r at each sweep start): (R + |d| nu_k) (1 + eps)
+      + om.
+
+    The factor 2 absorbs the (1 + u) per move that zr_j's rounding feeds
+    back into e_j and the rounding of e_j's own evaluation.  The pilot's
+    ridge is never in G: the pilot puts it on the diagonal and copies the
+    diagonal back.  A NaN or inf anywhere makes the comparison false, so
+    that coordinate is visited.  A visited coordinate runs exactly the
+    unscreened step, so theta, converged and sweeps have the same bits as
+    without screening.
+
+    Lazy columns.  The scales need all of Z; the standardized columns do
+    not.  The first visit to a column of a CD_CHUNK-column chunk
+    standardizes, with their col_sq, only the chunk's columns that fail the
+    screen then, packed two per (n, 2) block.  A column that fails the
+    screen later is standardized on its own.  A stride-2 column streams
+    through memory, yet BLAS ddot sums it in the same order as the stride-p
+    column of Z; a unit-stride column would not, so p == 1 keeps a
+    unit-stride (n, 1) block, as the (n, 1) Z has.
     """
     n, p = Z.shape
-    W = np.zeros(((p + 1) // 2, n, 1 if p == 1 else 2))
-    scales = np.empty(p)
-    col_sq = np.empty(p)
-    # A lone one-column chunk would be reduced as a contiguous vector
-    # (pairwise summation) rather than row by row, so it joins the chunk
-    # before it.
-    bounds = list(range(0, p, CD_CHUNK)) + [p]
-    if len(bounds) > 2 and p - bounds[-2] == 1:
-        del bounds[-2]
-    for a, b in zip(bounds, bounds[1:]):
-        Zc = Z[:, a:b]
-        s = np.sqrt(np.mean(Zc * Zc, axis=0))
-        live = s > 0
-        Zc = Zc / np.where(live, s, 1.0)
-        Zc[:, ~live] = 0.0
-        scales[a:b] = s
-        col_sq[a:b] = np.einsum("ij,ij->j", Zc, Zc)
-        for t in range(W.shape[2]):
-            W[a // 2:(b + 1 - t) // 2, :, t] = Zc[:, t::2].T
-    cols = [W[j // 2, :, j % 2] for j in range(p)]
+    G = Z.T @ Z if gram is None else gram
+    # Column mean squares, summed one contiguous row block at a time: adding
+    # the running sum into a block's first row keeps numpy's row-by-row
+    # order, so the scales have the bits of np.mean over whole columns.  One
+    # column is summed pairwise, as a contiguous vector, so p == 1 takes a
+    # single block.
+    block = n if p == 1 else max(1, CD_BLOCK // p)
+    sq_sum = np.zeros(p)
+    sq_buf = np.empty((min(block, n), p))
+    for i in range(0, n, block):
+        sq = np.multiply(Z[i:i + block], Z[i:i + block], out=sq_buf[:min(block, n - i)])
+        sq[0] += sq_sum
+        np.add.reduce(sq, axis=0, out=sq_sum)
+    del sq_buf
+    scales = np.sqrt(sq_sum / n)
     live = scales > 0
+    eps = (n + 16) * 2.0 ** -52
+    om = (n + 1) ** 2 * 2.0 ** -530
+    n_eta = n * 2.0 ** -1074
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv_s = np.divide(1.0, scales, out=np.zeros(p), where=live)
+        nu = (np.sqrt(np.diagonal(G) + n_eta) * inv_s * (1.0 + eps) + om).tolist()
+    zr = Z.T @ y
+    # Reused buffers for the per-move products: fresh temporaries would be
+    # strewn through the heap between the kept columns, and the freed space
+    # would then stay resident and fragmented after the fit.
+    zr_step, r_step = np.empty(p), np.empty(n)
+    inv_l = inv_s.tolist()
+    col_sq = [0.0] * p
+    cols = [None] * p
+    built = [False] * -(-p // CD_CHUNK)
+    width = 1 if p == 1 else 2
     live_cols = np.flatnonzero(live).tolist()
-    col_sq, penalized = col_sq.tolist(), penalized.tolist()
+    penalized = penalized.tolist()
     thr = lam * n
     theta = [0.0] * p
     r = y.copy()
+    Y = math.sqrt(float(r @ r) + n_eta) * (1.0 + eps) + om
+    A, B, Om = eps * Y, n_eta, om * (1.0 + Y)
+
+    def screened(j):
+        return (penalized[j] and theta[j] == 0.0
+                and abs(zr.item(j)) * inv_l[j]
+                + 2.0 * (nu[j] * slack + inv_l[j] * B + Om) < thr)
+
+    def keep(idx):
+        # Standardize columns idx of Z, pack them two per (n, 2) block and
+        # store their col_sq.  np.take copies in C order, and an odd count is
+        # padded with a copy of its last column, so einsum sums each column
+        # row by row, as over the whole design; a lone column, or one in F
+        # order, would be summed pairwise.
+        idx = idx + idx[-1:] * (len(idx) % width)
+        W = np.empty((len(idx) // width, n, width))   # before Zs, so kept blocks sit together
+        Zs = np.take(Z, idx, axis=1)
+        Zs /= scales[idx]
+        sq = np.einsum("ij,ij->j", Zs, Zs).tolist()
+        W[...] = Zs.reshape(n, -1, width).transpose(1, 0, 2)
+        for m, j in enumerate(idx):
+            cols[j], col_sq[j] = W[m // width, :, m % width], sq[m]
+
+    def column(j):
+        ci = j // CD_CHUNK
+        if built[ci]:
+            keep([j])
+        else:
+            built[ci] = True
+            keep([i for i in range(ci * CD_CHUNK, min(ci * CD_CHUNK + CD_CHUNK, p))
+                  if live[i] and not screened(i)])
+        return cols[j]
+
     converged = False
     for sweeps in range(1, CD_MAX_SWEEPS + 1):
+        R = math.sqrt(float(r @ r) + n_eta) * (1.0 + eps) + om
+        slack = A + eps * R
         delta = 0.0
         for j in live_cols:
-            z, old = cols[j], theta[j]
+            if screened(j):
+                continue
+            z = cols[j]
+            if z is None:
+                z = column(j)
+            old = theta[j]
             rho = z @ r + col_sq[j] * old
             if penalized[j]:
                 new = math.copysign(max(abs(rho) - thr, 0.0), rho) / col_sq[j]
             else:
                 new = rho / col_sq[j]
             if new != old:
-                r += z * (old - new)
+                d = old - new
+                r += np.multiply(z, d, out=r_step)
                 delta = max(delta, abs(new - old))
                 theta[j] = new
+                zr += np.multiply(G[j], d * inv_l[j], out=zr_step)
+                ad = abs(d)
+                R = (R + ad * nu[j]) * (1.0 + eps) + om
+                A += eps * (ad * nu[j] + R) + om * (1.0 + ad)
+                B += ad * inv_l[j] * n_eta      # n_eta * ad alone may underflow
+                Om += om * (1.0 + ad)
+                slack = A + eps * R
         if delta < CD_TOL:
             converged = True
             break
@@ -264,13 +380,16 @@ def _coordinate_descent(Z, y, lam, penalized):
 
 
 def _lasso_fit(Z, y, feature_map, lam, scale) -> LinearModel:
-    """Lasso fit of y on Z; intercept coordinates are never penalized."""
+    """Lasso fit of y on Z; intercept coordinates are never penalized.  One
+    Gram serves the auto penalty's ridge pilot and coordinate descent."""
+    gram = Z.T @ Z
     if lam == "auto":
-        lam = auto_lambda(Z, y, scale)
+        lam = auto_lambda(Z, y, scale, gram)
     lam = float(lam)
     if lam < 0:
         raise ValueError("lasso penalty must be nonnegative")
-    theta, converged, sweeps = _coordinate_descent(Z, y, lam, feature_map.penalized())
+    theta, converged, sweeps = _coordinate_descent(Z, y, lam, feature_map.penalized(),
+                                                   gram)
     return LinearModel(theta, feature_map, converged=converged, lam=lam, sweeps=sweeps)
 
 

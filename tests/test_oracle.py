@@ -419,6 +419,11 @@ def test_lasso_auto_penalty_formula():
     sigma = float(np.std(y - Z @ pre))
     assert lam == pytest.approx(1.5 * sigma * math.sqrt(2 * math.log(p) / n),
                                 abs=1e-12)
+    # a shared Gram gives the same bits and is left as it was found
+    gram = Z.T @ Z
+    before = gram.copy()
+    assert auto_lambda(Z, y, scale=1.5, gram=gram) == lam
+    assert np.array_equal(gram.view(np.int64), before.view(np.int64))
 
 
 def kkt_report(model, samples, fm):
@@ -483,9 +488,10 @@ def test_lasso_kkt_at_active_solution():
 # -- coordinate descent, bit for bit -------------------------------------------
 
 def reference_coordinate_descent(Z, y, lam, penalized):
-    """The earlier layout of oracle._coordinate_descent, kept verbatim as
-    the reference: a C-order standardized copy Zs of Z, read one stride-p
-    column at a time."""
+    """The earlier, unscreened oracle._coordinate_descent, kept as the
+    reference: a C-order standardized copy Zs of Z, read one stride-p
+    column at a time, every live coordinate visited in every sweep.
+    Returns (theta, converged, sweeps)."""
     n, p = Z.shape
     scales = np.sqrt(np.mean(Z * Z, axis=0))
     live = scales > 0
@@ -496,7 +502,7 @@ def reference_coordinate_descent(Z, y, lam, penalized):
     theta = np.zeros(p)
     r = y.copy()
     converged = False
-    for _ in range(CD_MAX_SWEEPS):
+    for sweeps in range(1, CD_MAX_SWEEPS + 1):
         delta = 0.0
         for j in range(p):
             if not live[j]:
@@ -514,7 +520,7 @@ def reference_coordinate_descent(Z, y, lam, penalized):
             converged = True
             break
     out = np.where(live, theta / np.where(live, scales, 1.0), 0.0)
-    return out, converged
+    return out, converged, sweeps
 
 
 def cd_inputs(n, p, seed, dead=(), tiny=(), free=()):
@@ -552,14 +558,17 @@ CD_CASES = [
 ]
 
 
+def assert_same_cd(got, want):
+    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert got[1:] == want[1:]
+
+
 @pytest.mark.parametrize("n,p,lam,dead,tiny,free", CD_CASES)
 def test_coordinate_descent_matches_reference_bits(n, p, lam, dead, tiny, free):
     Z, y, penalized = cd_inputs(n, p, seed=n * 1000 + p, dead=dead, tiny=tiny, free=free)
-    want, want_converged = reference_coordinate_descent(Z, y, lam, penalized)
-    got, converged, sweeps = oracle._coordinate_descent(Z, y, lam, penalized)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert converged == want_converged
-    assert 1 <= sweeps <= CD_MAX_SWEEPS
+    want = reference_coordinate_descent(Z, y, lam, penalized)
+    assert_same_cd(oracle._coordinate_descent(Z, y, lam, penalized), want)
+    assert 1 <= want[2] <= CD_MAX_SWEEPS
 
 
 @pytest.mark.parametrize("n,p", [(300, 1), (200, 65)])
@@ -570,10 +579,146 @@ def test_coordinate_descent_sweep_cap_matches_reference(monkeypatch, n, p):
     monkeypatch.setitem(globals(), "CD_MAX_SWEEPS", 1)
     for seed in range(8):
         Z, y, penalized = cd_inputs(n, p, seed)
-        want, want_converged = reference_coordinate_descent(Z, y, 0.0, penalized)
-        got, converged, sweeps = oracle._coordinate_descent(Z, y, 0.0, penalized)
-        assert (converged, sweeps) == (want_converged, 1) == (False, 1)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        want = reference_coordinate_descent(Z, y, 0.0, penalized)
+        assert want[1:] == (False, 1)
+        assert_same_cd(oracle._coordinate_descent(Z, y, 0.0, penalized), want)
+
+
+# -- coordinate descent screening -------------------------------------------------
+
+class CountingMath:
+    """Stands in for oracle's math module and counts copysign calls: one per
+    visit of a penalized coordinate, so skipped visits are the shortfall."""
+
+    def __init__(self):
+        self.copysign_calls = 0
+
+    def copysign(self, x, y):
+        self.copysign_calls += 1
+        return math.copysign(x, y)
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+
+def screened_cd(monkeypatch, Z, y, lam, penalized, gram=None):
+    """Screened CD checked bit for bit against the reference; returns the
+    penalized visits made and the visits an unscreened sweep would make."""
+    want = reference_coordinate_descent(Z, y, lam, penalized)
+    counter = CountingMath()
+    monkeypatch.setattr(oracle, "math", counter)
+    got = oracle._coordinate_descent(Z, y, lam, penalized, gram)
+    monkeypatch.setattr(oracle, "math", math)
+    assert_same_cd(got, want)
+    live = np.sqrt(np.mean(Z * Z, axis=0)) > 0
+    return counter.copysign_calls, int(np.sum(live & penalized)) * want[2]
+
+
+def sparse_inputs(n, p, seed, support=5):
+    """A wide design on mixed column scales whose target depends on a few
+    columns, with the last column an unpenalized intercept."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((n, p)) * rng.choice([0.01, 1.0, 30.0], size=p)
+    Z[:, -1] = 1.0
+    beta = np.zeros(p)
+    beta[rng.choice(p - 1, size=support, replace=False)] = rng.choice([-2.0, 2.0], size=support)
+    y = (Z / np.sqrt(np.mean(Z * Z, axis=0))) @ beta + 3.0 + rng.standard_normal(n)
+    penalized = np.ones(p, dtype=bool)
+    penalized[-1] = False
+    return Z, y, penalized
+
+
+@pytest.mark.parametrize("n,p,frac", [(400, 301, 0.05), (300, 513, 0.1), (256, 1025, 0.2)])
+def test_screened_cd_skips_most_visits_on_wide_sparse_designs(monkeypatch, n, p, frac):
+    Z, y, penalized = sparse_inputs(n, p, seed=p)
+    Zs = Z / np.sqrt(np.mean(Z * Z, axis=0))
+    lam = frac * float(np.max(np.abs(Zs[:, :-1].T @ (y - y.mean())))) / n
+    visits, unscreened = screened_cd(monkeypatch, Z, y, lam, penalized)
+    assert visits < unscreened / 4
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_screened_cd_at_the_exact_threshold(monkeypatch, below):
+    """lam n equals |rho| of coordinate 0 in sweep 1, as the reference's own
+    dot computes it (n = 256 makes lam n exact), or lies one ulp below it,
+    where the coordinate must move off zero by the last bit."""
+    n, p = 256, 301
+    Z, y, penalized = sparse_inputs(n, p, seed=7)
+    Zs = Z / np.sqrt(np.mean(Z * Z, axis=0))
+    rho = abs(float(Zs[:, 0] @ y))
+    thr = np.nextafter(rho, 0.0) if below else rho
+    lam = thr / n
+    assert lam * n == thr
+    visits, unscreened = screened_cd(monkeypatch, Z, y, lam, penalized)
+    assert visits < unscreened
+
+
+def test_screened_cd_skips_nothing_at_zero_penalty(monkeypatch):
+    Z, y, penalized = sparse_inputs(300, 41, seed=3)
+    visits, unscreened = screened_cd(monkeypatch, Z, y, 0.0, penalized)
+    assert visits == unscreened
+
+
+def test_screened_cd_skips_every_penalized_visit_at_infinite_penalty(monkeypatch):
+    Z, y, penalized = sparse_inputs(300, 301, seed=4)
+    visits, _ = screened_cd(monkeypatch, Z, y, math.inf, penalized)
+    assert visits == 0
+
+
+@pytest.mark.parametrize("y_scale,nan", [(1.0, False), (1e300, False), (1.0, True)])
+def test_screened_cd_fails_closed_on_tiny_dead_and_overflowing_columns(monkeypatch, y_scale, nan):
+    """Columns whose squares underflow (tiny) or vanish (dead) must never be
+    skipped on a bound that does not hold, nor anything once the bound is
+    inf or NaN: at a 1e300 target the residual's squared norm overflows,
+    and one NaN target makes it and the tracked Z^T r NaN.  Three sweeps
+    suffice; a 1e300 target never meets the absolute CD_TOL."""
+    monkeypatch.setattr(oracle, "CD_MAX_SWEEPS", 3)
+    monkeypatch.setitem(globals(), "CD_MAX_SWEEPS", 3)
+    n, p = 300, 331
+    Z, y, penalized = cd_inputs(n, p, seed=11, dead=(4, 200), tiny=(5, 6, 150, 330), free=(0,))
+    Z[:, 7] *= 2e-162                       # squares partly underflow: sqrt(mean) is inexact
+    y = y * y_scale
+    if nan:
+        y[17] = math.nan
+    lam = 0.05 * y_scale
+    with np.errstate(all="ignore"):
+        visits, unscreened = screened_cd(monkeypatch, Z, y, lam, penalized)
+    if y_scale > 1.0 or nan:
+        assert visits == unscreened
+
+
+def test_screened_cd_covers_a_gram_entry_lost_to_underflow(monkeypatch):
+    """Columns a (1, 1, 1) and a (1, 1, -2) are orthogonal, but a^2 lies
+    below the smallest normal, so every product rounds to a multiple of
+    2^-1074: Z.T @ Z holds an ulp where the true entry is 0, and scaled by
+    1 / (s_0 s_1) ~ 2e323 that ulp is of order one.  The target is set so
+    that, once coordinate 0 moves by |d| < 1 / n, the tracked zr_1 / s_1
+    falls to about a thousandth of its true value while the true rho_1
+    stays above lam n: coordinate 1 must still be visited."""
+    n = 3
+    Z = math.sqrt(0.6) * 2.0 ** -537 * np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -2.0]])
+    s = np.sqrt(np.mean(Z * Z, axis=0))
+    zs = Z / s
+    col_sq = np.einsum("ij,ij->j", zs, zs)
+    alpha, thr = 0.01, 3e-4
+    d = (thr - alpha * col_sq[0]) / col_sq[0]         # coordinate 0's old - new
+    shift = d / s[0] * (Z.T @ Z)[0, 1] / s[1]          # the Gram's change to zr_1 / s_1
+    y = alpha * zs[:, 0] - 1.001 * shift / col_sq[1] * zs[:, 1]
+    assert abs(d) < 1 / n
+    screened_cd(monkeypatch, Z, y, thr / n, np.ones(2, dtype=bool))
+    assert reference_coordinate_descent(Z, y, thr / n, np.ones(2, dtype=bool))[0][1] != 0.0
+
+
+def test_screened_cd_given_gram_matches_its_own(monkeypatch):
+    Z, y, penalized = sparse_inputs(300, 257, seed=5)
+    lam = 0.02
+    gram = Z.T @ Z
+    before = gram.copy()
+    visits, unscreened = screened_cd(monkeypatch, Z, y, lam, penalized, gram)
+    assert visits < unscreened
+    assert np.array_equal(gram.view(np.int64), before.view(np.int64))
+    assert_same_cd(oracle._coordinate_descent(Z, y, lam, penalized),
+                   oracle._coordinate_descent(Z, y, lam, penalized, gram))
 
 
 # -- empirical R-loss --------------------------------------------------------------
