@@ -11,12 +11,12 @@ Two fitting routes share the linear machinery here:
 Both come in a ridge flavor (exact normal-equation solve, SPD Cholesky
 with an eigen-clipped minimum-norm fallback) and a lasso flavor (cyclic
 coordinate descent on RMS-standardized columns, intercept coordinates
-unpenalized).  A lasso fit computes Z^T Z once: the auto penalty's ridge
-pilot solves on it, and coordinate descent uses it to skip every zero
-coordinate that a rounding-safe bound shows would stay zero, with the same
-bits as visiting it.  Nuisance values mu_hat come from cross_fit_mu:
-per-fold ridge regressions predicting each sample from the complement of
-its fold.
+unpenalized).  A lasso fit forms Z^T Z and Z^T y once: the auto penalty's
+ridge pilot solves on them, and coordinate descent starts its Z^T r from
+Z^T y and uses Z^T Z to skip every zero coordinate that a rounding-safe
+bound shows would stay zero, with the same bits as visiting it.  Nuisance
+values mu_hat come from cross_fit_mu: per-fold ridge regressions
+predicting each sample from the complement of its fold.
 """
 
 from __future__ import annotations
@@ -173,19 +173,23 @@ def chosen_design(samples: Sequence[LoggedSample],
     return feature_map.design(batch.X, batch.A), batch.r.copy()
 
 
-def _ridge_fit(Z, y, ridge, gram=None):
-    """Ridge solve on Z's Gram.  A given gram (Z.T @ Z) is used in place of
-    a fresh one and left as it was found: the ridge goes on its diagonal for
-    the solve and the diagonal is then copied back."""
+def _solve_ridged(gram, zy, ridge):
+    """Solve (gram + ridge I) theta = zy: the ridge goes on gram's diagonal
+    for the solve, and the diagonal is then copied back."""
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    A = Z.T @ Z if gram is None else gram   # one bound array: numpy takes the syrk path
-    diag = A.diagonal().copy()
-    A[np.diag_indices_from(A)] += ridge
+    diag = gram.diagonal().copy()
+    gram[np.diag_indices_from(gram)] += ridge
     try:
-        return _solve_psd(A, Z.T @ y)
+        return _solve_psd(gram, zy)
     finally:
-        A[np.diag_indices_from(A)] = diag
+        gram[np.diag_indices_from(gram)] = diag
+
+
+def _ridge_fit(Z, y, ridge):
+    """Ridge solve on Z's normal equations; Z.T @ Z on one bound array takes
+    numpy's syrk path."""
+    return _solve_ridged(Z.T @ Z, Z.T @ y, ridge)
 
 
 def fit_rloss(samples: Sequence[LoggedSample], feature_map: FeatureMap,
@@ -204,32 +208,32 @@ def fit_squared_error(samples: Sequence[LoggedSample], feature_map: FeatureMap,
     return LinearModel(theta, feature_map, rank_deficient=deficient)
 
 
-def auto_lambda(Z: np.ndarray, y: np.ndarray, scale: float = 1.0,
-                gram: Optional[np.ndarray] = None) -> float:
+def auto_lambda(Z: np.ndarray, y: np.ndarray, gram: np.ndarray, zy: np.ndarray,
+                scale: float = 1.0) -> float:
     """Penalty sigma_hat * scale * sqrt(2 log p / n) with sigma_hat the
-    residual standard deviation of a lightly ridged preliminary fit.  A
-    given gram (Z.T @ Z) is used by that fit and left unchanged."""
+    residual standard deviation of a lightly ridged preliminary fit on the
+    normal equations gram = Z.T @ Z, zy = Z.T @ y, which keep their bits."""
     n, p = Z.shape
-    theta, _ = _ridge_fit(Z, y, 1e-6 * n, gram)
+    theta, _ = _solve_ridged(gram, zy, 1e-6 * n)
     sigma = float(np.std(y - Z @ theta))
     return scale * sigma * math.sqrt(2.0 * math.log(p) / n)
 
 
-def _coordinate_descent(Z, y, lam, penalized, gram=None):
+def _coordinate_descent(Z, y, lam, penalized, gram, zy):
     """Cyclic CD for (1/2n)||y - Z theta||^2 + lam * sum_{penalized} |theta_j|.
 
     Columns are standardized to unit RMS internally; returned coefficients
     live on the original scale.  Dead (all-zero) columns keep coefficient 0.
-    Returns (theta, converged, sweeps).  gram is Z.T @ Z (computed when not
-    given) and is only read.
+    Returns (theta, converged, sweeps).  The normal equations G = gram =
+    Z.T @ Z and zy = Z.T @ y are only read.
 
     Screening.  A penalized coordinate at zero whose rho = z_j . r satisfies
     |rho| <= lam * n stays at zero, so its visit changes nothing.  Alongside
-    the residual r, zr tracks Z^T r: it starts as Z^T y, and each move d of
-    coordinate k adds d * inv_s[k] * G[k].  Coordinate j is skipped when it
-    is penalized, at zero and |zr_j| inv_s_j + e_j < lam * n, where e_j
-    bounds both the drift of zr_j inv_s_j from the exact z_j . r and the
-    rounding of the ddot that a visit would make.  With u = 2^-53,
+    the residual r, zr tracks Z^T r: it starts as a copy of zy, and each
+    move d of coordinate k adds d * inv_s[k] * G[k].  Coordinate j is
+    skipped when it is penalized, at zero and |zr_j| inv_s_j + e_j < lam n,
+    where e_j bounds both the drift of zr_j inv_s_j from the exact z_j . r
+    and the rounding of the ddot that a visit would make.  With u = 2^-53,
     eta = 2^-1074 (which bounds the underflow error of one product) and
     eps = (n + 16) 2u >= gamma_n + 16u,
 
@@ -264,16 +268,15 @@ def _coordinate_descent(Z, y, lam, penalized, gram=None):
     without screening.
 
     Lazy columns.  The scales need all of Z; the standardized columns do
-    not.  The first visit to a column of a CD_CHUNK-column chunk
-    standardizes, with their col_sq, only the chunk's columns that fail the
-    screen then, packed two per (n, 2) block.  A column that fails the
-    screen later is standardized on its own.  A stride-2 column streams
-    through memory, yet BLAS ddot sums it in the same order as the stride-p
-    column of Z; a unit-stride column would not, so p == 1 keeps a
-    unit-stride (n, 1) block, as the (n, 1) Z has.
+    not.  The first visit to a column of a CD_CHUNK-column chunk gathers
+    and standardizes, with their col_sq, only the chunk's columns that fail
+    the screen then.  A column that fails the screen later is gathered on
+    its own.  Each kept column is a strided view into its gather: BLAS ddot
+    sums every non-unit stride in the same order as the stride-p column of
+    Z, but a unit stride in another, so a lone column is gathered twice
+    unless p == 1, whose (n, 1) Z is itself unit-stride.
     """
     n, p = Z.shape
-    G = Z.T @ Z if gram is None else gram
     # Column mean squares, summed one contiguous row block at a time: adding
     # the running sum into a block's first row keeps numpy's row-by-row
     # order, so the scales have the bits of np.mean over whole columns.  One
@@ -294,8 +297,8 @@ def _coordinate_descent(Z, y, lam, penalized, gram=None):
     n_eta = n * 2.0 ** -1074
     with np.errstate(over="ignore", invalid="ignore"):
         inv_s = np.divide(1.0, scales, out=np.zeros(p), where=live)
-        nu = (np.sqrt(np.diagonal(G) + n_eta) * inv_s * (1.0 + eps) + om).tolist()
-    zr = Z.T @ y
+        nu = (np.sqrt(np.diagonal(gram) + n_eta) * inv_s * (1.0 + eps) + om).tolist()
+    zr = zy.copy()
     # Reused buffers for the per-move products: fresh temporaries would be
     # strewn through the heap between the kept columns, and the freed space
     # would then stay resident and fragmented after the fit.
@@ -304,7 +307,6 @@ def _coordinate_descent(Z, y, lam, penalized, gram=None):
     col_sq = [0.0] * p
     cols = [None] * p
     built = [False] * -(-p // CD_CHUNK)
-    width = 1 if p == 1 else 2
     live_cols = np.flatnonzero(live).tolist()
     penalized = penalized.tolist()
     thr = lam * n
@@ -319,19 +321,17 @@ def _coordinate_descent(Z, y, lam, penalized, gram=None):
                 + 2.0 * (nu[j] * slack + inv_l[j] * B + Om) < thr)
 
     def keep(idx):
-        # Standardize columns idx of Z, pack them two per (n, 2) block and
-        # store their col_sq.  np.take copies in C order, and an odd count is
-        # padded with a copy of its last column, so einsum sums each column
-        # row by row, as over the whole design; a lone column, or one in F
-        # order, would be summed pairwise.
-        idx = idx + idx[-1:] * (len(idx) % width)
-        W = np.empty((len(idx) // width, n, width))   # before Zs, so kept blocks sit together
+        # Standardize columns idx of Z and store their views and col_sq.
+        # np.take copies in C order, and a lone column is taken twice when
+        # p > 1, so einsum sums each column row by row, as over the whole
+        # design; a lone column, or one in F order, would be summed pairwise.
+        if len(idx) == 1 and p > 1:
+            idx = idx * 2
         Zs = np.take(Z, idx, axis=1)
         Zs /= scales[idx]
         sq = np.einsum("ij,ij->j", Zs, Zs).tolist()
-        W[...] = Zs.reshape(n, -1, width).transpose(1, 0, 2)
         for m, j in enumerate(idx):
-            cols[j], col_sq[j] = W[m // width, :, m % width], sq[m]
+            cols[j], col_sq[j] = Zs[:, m], sq[m]
 
     def column(j):
         ci = j // CD_CHUNK
@@ -365,7 +365,7 @@ def _coordinate_descent(Z, y, lam, penalized, gram=None):
                 r += np.multiply(z, d, out=r_step)
                 delta = max(delta, abs(new - old))
                 theta[j] = new
-                zr += np.multiply(G[j], d * inv_l[j], out=zr_step)
+                zr += np.multiply(gram[j], d * inv_l[j], out=zr_step)
                 ad = abs(d)
                 R = (R + ad * nu[j]) * (1.0 + eps) + om
                 A += eps * (ad * nu[j] + R) + om * (1.0 + ad)
@@ -380,16 +380,16 @@ def _coordinate_descent(Z, y, lam, penalized, gram=None):
 
 
 def _lasso_fit(Z, y, feature_map, lam, scale) -> LinearModel:
-    """Lasso fit of y on Z; intercept coordinates are never penalized.  One
-    Gram serves the auto penalty's ridge pilot and coordinate descent."""
-    gram = Z.T @ Z
+    """Lasso fit of y on Z; intercept coordinates are never penalized.  The
+    auto penalty's ridge pilot and coordinate descent share Z^T Z, Z^T y."""
+    gram, zy = Z.T @ Z, Z.T @ y
     if lam == "auto":
-        lam = auto_lambda(Z, y, scale, gram)
+        lam = auto_lambda(Z, y, gram, zy, scale)
     lam = float(lam)
     if lam < 0:
         raise ValueError("lasso penalty must be nonnegative")
     theta, converged, sweeps = _coordinate_descent(Z, y, lam, feature_map.penalized(),
-                                                   gram)
+                                                   gram, zy)
     return LinearModel(theta, feature_map, converged=converged, lam=lam, sweeps=sweeps)
 
 

@@ -413,17 +413,16 @@ def test_lasso_auto_penalty_formula():
     rng = rng_stream(14, 0)
     Z = rng.standard_normal((60, 4))
     y = rng.standard_normal(60)
-    lam = auto_lambda(Z, y, scale=1.5)
+    gram = Z.T @ Z
+    before = gram.copy()
+    lam = auto_lambda(Z, y, gram, Z.T @ y, scale=1.5)
     n, p = Z.shape
     pre = np.linalg.solve(Z.T @ Z + 1e-6 * n * np.eye(p), Z.T @ y)
     sigma = float(np.std(y - Z @ pre))
     assert lam == pytest.approx(1.5 * sigma * math.sqrt(2 * math.log(p) / n),
                                 abs=1e-12)
-    # a shared Gram gives the same bits and is left as it was found
-    gram = Z.T @ Z
-    before = gram.copy()
-    assert auto_lambda(Z, y, scale=1.5, gram=gram) == lam
-    assert np.array_equal(gram.view(np.int64), before.view(np.int64))
+    # the pilot's ridge leaves the Gram as it was found
+    assert_same_bits(gram, before)
 
 
 def kkt_report(model, samples, fm):
@@ -558,16 +557,24 @@ CD_CASES = [
 ]
 
 
+def assert_same_bits(a, b):
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def assert_same_cd(got, want):
-    assert np.array_equal(got[0].view(np.int64), want[0].view(np.int64))
+    assert_same_bits(got[0], want[0])
     assert got[1:] == want[1:]
+
+
+def coordinate_descent(Z, y, lam, penalized):
+    return oracle._coordinate_descent(Z, y, lam, penalized, Z.T @ Z, Z.T @ y)
 
 
 @pytest.mark.parametrize("n,p,lam,dead,tiny,free", CD_CASES)
 def test_coordinate_descent_matches_reference_bits(n, p, lam, dead, tiny, free):
     Z, y, penalized = cd_inputs(n, p, seed=n * 1000 + p, dead=dead, tiny=tiny, free=free)
     want = reference_coordinate_descent(Z, y, lam, penalized)
-    assert_same_cd(oracle._coordinate_descent(Z, y, lam, penalized), want)
+    assert_same_cd(coordinate_descent(Z, y, lam, penalized), want)
     assert 1 <= want[2] <= CD_MAX_SWEEPS
 
 
@@ -581,7 +588,7 @@ def test_coordinate_descent_sweep_cap_matches_reference(monkeypatch, n, p):
         Z, y, penalized = cd_inputs(n, p, seed)
         want = reference_coordinate_descent(Z, y, 0.0, penalized)
         assert want[1:] == (False, 1)
-        assert_same_cd(oracle._coordinate_descent(Z, y, 0.0, penalized), want)
+        assert_same_cd(coordinate_descent(Z, y, 0.0, penalized), want)
 
 
 # -- coordinate descent screening -------------------------------------------------
@@ -601,15 +608,20 @@ class CountingMath:
         return getattr(math, name)
 
 
-def screened_cd(monkeypatch, Z, y, lam, penalized, gram=None):
-    """Screened CD checked bit for bit against the reference; returns the
-    penalized visits made and the visits an unscreened sweep would make."""
+def screened_cd(monkeypatch, Z, y, lam, penalized):
+    """Screened CD checked bit for bit against the reference, its normal
+    equations left as they were given; returns the penalized visits made
+    and the visits an unscreened sweep would make."""
     want = reference_coordinate_descent(Z, y, lam, penalized)
+    gram, zy = Z.T @ Z, Z.T @ y
+    before = gram.copy(), zy.copy()
     counter = CountingMath()
     monkeypatch.setattr(oracle, "math", counter)
-    got = oracle._coordinate_descent(Z, y, lam, penalized, gram)
+    got = oracle._coordinate_descent(Z, y, lam, penalized, gram, zy)
     monkeypatch.setattr(oracle, "math", math)
     assert_same_cd(got, want)
+    assert_same_bits(gram, before[0])
+    assert_same_bits(zy, before[1])
     live = np.sqrt(np.mean(Z * Z, axis=0)) > 0
     return counter.copysign_calls, int(np.sum(live & penalized)) * want[2]
 
@@ -709,16 +721,36 @@ def test_screened_cd_covers_a_gram_entry_lost_to_underflow(monkeypatch):
     assert reference_coordinate_descent(Z, y, thr / n, np.ones(2, dtype=bool))[0][1] != 0.0
 
 
-def test_screened_cd_given_gram_matches_its_own(monkeypatch):
-    Z, y, penalized = sparse_inputs(300, 257, seed=5)
-    lam = 0.02
-    gram = Z.T @ Z
-    before = gram.copy()
-    visits, unscreened = screened_cd(monkeypatch, Z, y, lam, penalized, gram)
-    assert visits < unscreened
-    assert np.array_equal(gram.view(np.int64), before.view(np.int64))
-    assert_same_cd(oracle._coordinate_descent(Z, y, lam, penalized),
-                   oracle._coordinate_descent(Z, y, lam, penalized, gram))
+def test_screened_cd_after_a_pilot_that_falls_back_to_eigh(monkeypatch):
+    """Columns 0 and 1 are equal and hold +-2^20, so the Gram's first two
+    rows are exact and their ridge (1e-6 n) is below half an ulp of the
+    diagonal: Cholesky meets an exactly zero second pivot on any BLAS, and
+    the auto penalty's pilot takes the eigh fallback.  Column 3 is dead.
+    The pilot must still leave the normal equations with their bits."""
+    n, p = 64, 6
+    rng = np.random.default_rng(21)
+    Z = rng.standard_normal((n, p))
+    Z[:, 0] = Z[:, 1] = rng.choice([-1.0, 1.0], size=n) * 2.0 ** 20
+    Z[:, 3] = 0.0
+    y = rng.standard_normal(n) + Z[:, 0] * 2.0 ** -20
+    gram, zy = Z.T @ Z, Z.T @ y
+    before = gram.copy(), zy.copy()
+    fell_back = []
+    solve_psd = oracle._solve_psd
+
+    def spy(A, b):
+        theta, fallback = solve_psd(A, b)
+        fell_back.append(fallback)
+        return theta, fallback
+
+    monkeypatch.setattr(oracle, "_solve_psd", spy)
+    lam = auto_lambda(Z, y, gram, zy, scale=1.5)
+    assert fell_back == [True]
+    assert_same_bits(gram, before[0])
+    assert_same_bits(zy, before[1])
+    penalized = np.ones(p, dtype=bool)
+    penalized[5] = False
+    screened_cd(monkeypatch, Z, y, lam, penalized)
 
 
 # -- empirical R-loss --------------------------------------------------------------
