@@ -41,7 +41,7 @@ class FiniteInstance:
         p = np.asarray(self.context_probs, float)
         f = np.asarray(self.f_star, float)
         k = np.asarray(self.kernel, float)
-        if p.ndim != 1 or f.shape != (p.size, f.shape[1]) or k.shape != f.shape:
+        if p.ndim != 1 or f.ndim != 2 or f.shape[0] != p.size or k.shape != f.shape:
             raise ValueError("inconsistent table shapes")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("context probabilities must form a distribution")
@@ -151,31 +151,43 @@ def misspec_bound_check(inst: FiniteInstance, model_class: Sequence[np.ndarray],
 
     Every kernel scores the whole class at once: the kernels are stacked as
     one (n_kern, 1, n_ctx, K) array against the class stacked behind f_star
-    (the excess risk's baseline) as one (1 + m, n_ctx, K) array, and each
-    (kernel, member) pair takes its context-weighted sum as its own dot
-    product, as the one-table risk functions do."""
+    (the excess risk's baseline) as one (1 + m, n_ctx, K) array.  All
+    (kernel, member) context-weighted sums are one stacked product
+    p @ (n_kern, m, n_ctx, 1), for which numpy calls BLAS ddot once per pair
+    with the operands of p.dot(row), p first: some OpenBLAS kernels' sums
+    depend on which operand is first.  So every figure equals the one-table
+    risk functions' bit for bit.  A kernel or member whose shape is not
+    f_star's, or an empty class, raises ValueError."""
     shape = inst.f_star.shape
-    kerns = [np.asarray(k, float) for k in kernels]
-    if any(k.shape != shape for k in kerns):
-        raise ValueError("inconsistent table shapes")
-    stack = np.array(kerns).reshape(-1, 1, *shape)
+    stack = _stacked(kernels, shape).reshape(-1, 1, *shape)
     _check_kernel_rows(stack)
+    members = _stacked(model_class, shape)
+    if not len(members):
+        raise ValueError("the model class has no members")
+    tables = np.concatenate([inst.f_star[None], members])
     mu0 = np.zeros(inst.num_contexts)
-    tables = np.stack([inst.f_star, *(np.asarray(g, float) for g in model_class)])
     p = inst.context_probs
 
     def risks(terms):
-        dots = [p.dot(row) for row in terms.reshape(-1, p.size)]
-        return np.array(dots).reshape(terms.shape[:2])
+        return (p @ terms[..., None])[..., 0]
 
     rloss = risks(_rloss_terms(inst, tables, mu0, stack))
     best_e = (rloss[:, 1:] - rloss[:, :1]).min(axis=1)
-    best_s = risks(_squared_terms(inst, tables[1:], stack)).min(axis=1)
-    last = (float(best_e[-1]), float(best_s[-1])) if kerns else (np.nan, np.nan)
+    best_s = risks(_squared_terms(inst, members, stack)).min(axis=1)
+    last = (float(best_e[-1]), float(best_s[-1])) if len(stack) else (np.nan, np.nan)
     return BoundReport(bool(np.all(best_e <= best_s + tol)), *last,
                        float(np.min(best_s - best_e, initial=np.inf)),
                        float(np.max(best_e, initial=-np.inf)),
                        float(np.max(best_s, initial=-np.inf)))
+
+
+def _stacked(tables: Sequence[np.ndarray], shape: Tuple[int, ...]) -> np.ndarray:
+    """The tables as one (m, *shape) float array; ValueError unless each has
+    the given shape."""
+    arrays = [np.asarray(t, float) for t in tables]
+    if any(a.shape != shape for a in arrays):
+        raise ValueError("inconsistent table shapes")
+    return np.array(arrays).reshape(-1, *shape)
 
 
 def mc_excess_risk(context_sampler: Callable[[np.random.Generator], np.ndarray],
@@ -216,15 +228,21 @@ def random_instance(rng: np.random.Generator, max_contexts: int = 20,
 
 
 def random_kernel(rng: np.random.Generator, n_ctx: int, K: int,
-                  floor: float = 0.02) -> np.ndarray:
-    k = rng.uniform(floor, 1.0, (n_ctx, K))
-    return k / k.sum(axis=1, keepdims=True)
+                  floor: float = 0.02, count: Optional[int] = None) -> np.ndarray:
+    """One random (n_ctx, K) kernel, rows uniform on [floor, 1] normalized,
+    or with count, a (count, n_ctx, K) stack drawn as one block.  The stack
+    equals count successive single draws bit for bit and leaves rng in the
+    same state, since the uniforms fill it in the same order."""
+    k = rng.uniform(floor, 1.0, (n_ctx, K) if count is None else (count, n_ctx, K))
+    return k / k.sum(axis=-1, keepdims=True)
 
 
 def random_model_class(rng: np.random.Generator, inst: FiniteInstance,
-                       size: int = 8) -> List[np.ndarray]:
-    shape = inst.f_star.shape
-    return [rng.uniform(-2.5, 2.5, shape) for _ in range(size)]
+                       size: int = 8) -> np.ndarray:
+    """size random effect tables, uniform on [-2.5, 2.5], as one
+    (size, n_ctx, K) draw: the same members, bit for bit, as size successive
+    draws of one table."""
+    return rng.uniform(-2.5, 2.5, (size, *inst.f_star.shape))
 
 
 def shifted_class(inst: FiniteInstance, shift: float = 0.5) -> List[np.ndarray]:

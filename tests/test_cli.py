@@ -16,7 +16,8 @@ from hte_bandit.config import ConfigError, RunConfig, load_config
 from hte_bandit.core import STREAM_VALIDATION, rng_stream
 from hte_bandit.environments import build_environment
 from hte_bandit.runner import CURVE_HEADER, RUN_HEADER
-from hte_bandit.validation import gap_identity_value
+from hte_bandit.validation import (BOUND_TOL, BoundReport, _rloss_terms, _squared_terms,
+                                   gap_identity_value, random_instance, shifted_class)
 
 
 def read_rows(path):
@@ -451,3 +452,126 @@ def test_validate_flags_a_broken_identity_evaluator(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  excess-risk identity" in out
     assert "3/4 checks passed" in out
+
+
+# -- the validate checks against their per-draw, per-row references ----------
+
+def dot_bound_report(inst, model_class, kernels, tol=BOUND_TOL):
+    """misspec_bound_check before its stacked product: each (kernel, member)
+    pair's context-weighted sum is its own p.dot."""
+    shape = inst.f_star.shape
+    stack = np.array(kernels).reshape(-1, 1, *shape)
+    tables = np.stack([inst.f_star, *model_class])
+    p = inst.context_probs
+
+    def risks(terms):
+        dots = [p.dot(row) for row in terms.reshape(-1, p.size)]
+        return np.array(dots).reshape(terms.shape[:2])
+
+    rloss = risks(_rloss_terms(inst, tables, np.zeros(inst.num_contexts), stack))
+    best_e = (rloss[:, 1:] - rloss[:, :1]).min(axis=1)
+    best_s = risks(_squared_terms(inst, tables[1:], stack)).min(axis=1)
+    return BoundReport(bool(np.all(best_e <= best_s + tol)),
+                       float(best_e[-1]), float(best_s[-1]),
+                       float(np.min(best_s - best_e)), float(np.max(best_e)),
+                       float(np.max(best_s)))
+
+
+def reference_bound_check(seed, reports, instances=100, kernels=20,
+                          strict_margin=0.1):
+    """cli.bound_check with one draw per class member and per kernel, and
+    dot_bound_report; every report is appended to reports."""
+    rng = rng_stream(seed, STREAM_VALIDATION)
+    ok = True
+    checked = 0
+    for _ in range(instances):
+        inst = random_instance(rng, noise=False)
+        cls = [rng.uniform(-2.5, 2.5, inst.f_star.shape) for _ in range(8)]
+        kerns = []
+        for _ in range(kernels):
+            k = rng.uniform(0.02, 1.0, inst.f_star.shape)
+            kerns.append(k / k.sum(axis=1, keepdims=True))
+        rep = dot_bound_report(inst, cls, kerns)
+        reports.append(rep)
+        ok = ok and rep.holds
+        checked += kernels
+    strict = random_instance(rng, noise=False)
+    srep = dot_bound_report(strict, shifted_class(strict, 0.5), [strict.kernel])
+    reports.append(srep)
+    strict_ok = (srep.holds and srep.best_excess <= BOUND_TOL
+                 and srep.best_squared >= strict_margin)
+    return ("misspecification bound", ok and strict_ok,
+            f"{checked} kernel cases, strict gap {srep.best_squared:.3f}")
+
+
+def reference_kernel_check(seed, draws=100_000):
+    """cli.kernel_check with each K's rows selected twice and numpy's row
+    reductions, calling the kernel through cli.igw_kernel."""
+    rng = rng_stream(seed, STREAM_VALIDATION)
+    ok = True
+    chunk = 10_000
+    for start in range(0, draws, chunk):
+        n = min(chunk, draws - start)
+        ks = rng.integers(2, 7, size=n)
+        normals = rng.standard_normal((n, 6))
+        exponents = 9.0 * rng.random(n)
+        for K in range(2, 7):
+            scores = 3.0 * normals[ks == K, :K]
+            gamma = np.exp(exponents[ks == K])
+            p = cli.igw_kernel(scores, gamma)
+            lead = p[np.arange(len(scores)), scores.argmax(axis=1)]
+            floor = 1.0 / (K + gamma * (scores.max(axis=1) - scores.min(axis=1)))
+            ok = ok and bool(np.all((np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
+                                    & (lead >= 1.0 / K - 1e-15)
+                                    & (lead == p.max(axis=1))
+                                    & (p.min(axis=1) >= floor - 1e-15)))
+    return ("kernel validity sweep", ok, f"{draws} random (scores, gamma) draws")
+
+
+def report_bits(rep):
+    return (rep.holds, *(float(v).hex() for v in (
+        rep.best_excess, rep.best_squared, rep.worst_margin, rep.max_excess,
+        rep.max_squared)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bound_check_matches_its_per_draw_reference(seed, monkeypatch):
+    """Same check tuple, and every instance's report bit for bit."""
+    expected, got = [], []
+    want = reference_bound_check(seed, expected)
+    real = cli.misspec_bound_check
+
+    def recording(*args, **kwargs):
+        got.append(real(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(cli, "misspec_bound_check", recording)
+    assert cli.bound_check(seed) == want
+    assert [report_bits(r) for r in got] == [report_bits(r) for r in expected]
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_check_matches_its_row_reduction_reference(seed, broken, monkeypatch):
+    """Same check tuple and the same igw_kernel inputs, call by call, with
+    the real kernel and with one that breaks the floor on one row a call."""
+    real_kernel = cli.igw_kernel
+    calls = []
+
+    def recording(scores, gamma):
+        calls.append((scores.tobytes(), gamma.tobytes()))
+        P = real_kernel(scores, gamma)
+        if broken:   # row 0 moves half its smallest probability to its leader
+            P = P.copy()
+            low, lead = P[0].argmin(), P[0].argmax()
+            P[0, lead] += P[0, low] / 2
+            P[0, low] /= 2
+        return P
+
+    monkeypatch.setattr(cli, "igw_kernel", recording)
+    want = reference_kernel_check(seed)
+    ref_calls, calls[:] = calls[:], []
+    assert cli.kernel_check(seed) == want
+    assert want[1] is not broken
+    assert calls == ref_calls and len(calls) == 50
+

@@ -41,6 +41,11 @@ def test_instance_validation():
                        np.array([[0.5, 0.5]]), noise_var=np.array([[-1.0, 0.0]]))
 
 
+def test_instance_rejects_a_one_dimensional_reward_table():
+    with pytest.raises(ValueError, match="inconsistent table shapes"):
+        FiniteInstance(np.array([0.5, 0.5]), np.zeros(2), np.full((2, 2), 0.5))
+
+
 def test_risk_frozen_two_term_enumeration():
     inst = single_context_instance()
     g0 = np.zeros((1, 2))
@@ -178,14 +183,73 @@ def test_class_batched_bound_check_matches_member_loop(noise):
     for _ in range(100):
         inst = random_instance(rng, noise=noise)
         cls = random_model_class(rng, inst)
-        kerns = [random_kernel(rng, inst.num_contexts, inst.num_actions)
-                 for _ in range(20)]
+        kerns = random_kernel(rng, inst.num_contexts, inst.num_actions, count=20)
         assert report_bits(misspec_bound_check(inst, cls, kerns)) == \
             report_bits(reference_bound_check(inst, cls, kerns))
     strict = random_instance(rng, noise=noise)
     cls = shifted_class(strict, 0.5)
     assert report_bits(misspec_bound_check(strict, cls, [strict.kernel])) == \
         report_bits(reference_bound_check(strict, cls, [strict.kernel]))
+
+
+@pytest.mark.parametrize("noise", [False, True])
+def test_stacked_bound_check_matches_member_loop_past_32_contexts(noise):
+    """Instances with 32 to 64 contexts, where BLAS ddot sums with its SIMD
+    body and not only its scalar tail: every report field bit for bit."""
+    rng = rng_stream(59, 5)
+    wide = 0
+    for _ in range(40):
+        inst = random_instance(rng, max_contexts=64, noise=noise)
+        cls = random_model_class(rng, inst)
+        kerns = random_kernel(rng, inst.num_contexts, inst.num_actions, count=5)
+        assert report_bits(misspec_bound_check(inst, cls, kerns)) == \
+            report_bits(reference_bound_check(inst, cls, kerns))
+        wide += inst.num_contexts >= 32
+    assert wide >= 10
+
+
+@pytest.mark.parametrize("n_ctx,K,count", [(1, 2, 1), (7, 3, 20), (64, 4, 3)])
+def test_stacked_kernel_draw_equals_successive_single_draws(n_ctx, K, count):
+    stacked_rng, single_rng = rng_stream(60, 5), rng_stream(60, 5)
+    stack = random_kernel(stacked_rng, n_ctx, K, count=count)
+    singles = [random_kernel(single_rng, n_ctx, K) for _ in range(count)]
+    assert stack.shape == (count, n_ctx, K)
+    assert stack.tobytes() == np.array(singles).tobytes()
+    assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("size", [1, 8])
+def test_stacked_class_draw_equals_successive_single_draws(size):
+    stacked_rng, single_rng = rng_stream(61, 5), rng_stream(61, 5)
+    inst = random_instance(stacked_rng)
+    random_instance(single_rng)
+    members = random_model_class(stacked_rng, inst, size=size)
+    singles = [single_rng.uniform(-2.5, 2.5, inst.f_star.shape)
+               for _ in range(size)]
+    assert members.shape == (size, *inst.f_star.shape)
+    assert members.tobytes() == np.array(singles).tobytes()
+    assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("wrong", ["member", "kernel"])
+def test_bound_check_rejects_a_table_of_the_wrong_shape(wrong):
+    rng = rng_stream(62, 5)
+    inst = random_instance(rng, noise=False)
+    n_ctx, K = inst.f_star.shape
+    cls, kerns = [inst.f_star + 1.0], [inst.kernel]
+    if wrong == "member":
+        cls.append(np.zeros((n_ctx, K + 1)))
+    else:
+        kerns.append(np.full((n_ctx, K + 1), 1.0 / (K + 1)))
+    with pytest.raises(ValueError, match="inconsistent table shapes"):
+        misspec_bound_check(inst, cls, kerns)
+
+
+def test_bound_check_rejects_an_empty_class():
+    rng = rng_stream(63, 5)
+    inst = random_instance(rng, noise=False)
+    with pytest.raises(ValueError, match="no members"):
+        misspec_bound_check(inst, [], [inst.kernel])
 
 
 def test_bound_check_rejects_a_kernel_off_the_simplex():
