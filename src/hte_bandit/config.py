@@ -14,23 +14,13 @@ from typing import Dict, List, Optional, Tuple, get_type_hints
 import numpy as np
 
 from .core import DOUBLING, EpochSchedule
-from .environments import EnvironmentSpec, build_environment, reward_bounds
+from .environments import (DEFAULT_REWARD_RANGE, EnvironmentSpec, build_environment,
+                           reward_bounds)
 from .policy import Policy
 
 
 class ConfigError(Exception):
     pass
-
-
-# Declared reward ranges, overridable via [policy] r_lo / r_hi; validate()
-# checks each contains reward_bounds.  The monitor's Hoeffding width uses them.
-DEFAULT_REWARD_RANGE = {
-    "lin_lin": (-0.5, 2.5),
-    "lin_const": (-0.5, 4.5),
-    "step_lin": (-2.5, 2.5),
-    "perturbed": (-4.5, 3.5),
-    "nonstationary": (-1.5, 5.5),
-}
 
 
 def _key(section: str, default):

@@ -62,17 +62,15 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class Rounds:
-    """The draws of rounds t0, t0 + 1, ..., t0 + n - 1 as column arrays."""
+    """The draws of n consecutive rounds as column arrays."""
 
-    t0: int
     contexts: np.ndarray       # (n, d)
     mean_rewards: np.ndarray   # (n, K)
     noise: np.ndarray          # (n,), each shared across the K actions
 
     def tail(self, i: int) -> "Rounds":
         """The rounds from row i on."""
-        return Rounds(self.t0 + i, self.contexts[i:], self.mean_rewards[i:],
-                      self.noise[i:])
+        return Rounds(self.contexts[i:], self.mean_rewards[i:], self.noise[i:])
 
     def _chosen(self, actions: np.ndarray) -> np.ndarray:
         return self.mean_rewards[np.arange(actions.shape[0]), actions - 1]
@@ -190,7 +188,7 @@ class Environment:
         sample_round calls advance them."""
         X = _unit_sphere(rng_context, n, self.spec.d)
         t = np.arange(t0, t0 + n)
-        return Rounds(t0, X, self.mean_rewards(X, t), self.sample_noise(rng_noise, n))
+        return Rounds(X, self.mean_rewards(X, t), self.sample_noise(rng_noise, n))
 
     def sample_round(self, rng_context: np.random.Generator,
                      rng_noise: np.random.Generator, t: int = 1) -> Rounds:
@@ -211,6 +209,18 @@ def reward_bounds(spec: EnvironmentSpec) -> Tuple[float, float]:
     }[spec.scenario]
     half_width = math.sqrt(3.0) * spec.sigma
     return lo - half_width, hi + half_width
+
+
+# Declared reward ranges, overridable via [policy] r_lo / r_hi;
+# RunConfig.validate checks each contains reward_bounds at the run's sigma
+# and amplitude.  The safety monitor's Hoeffding width uses them.
+DEFAULT_REWARD_RANGE = {
+    "lin_lin": (-0.5, 2.5),
+    "lin_const": (-0.5, 4.5),
+    "step_lin": (-2.5, 2.5),
+    "perturbed": (-4.5, 3.5),
+    "nonstationary": (-1.5, 5.5),
+}
 
 
 def build_environment(spec: EnvironmentSpec) -> Environment:

@@ -34,7 +34,6 @@ EIGEN_CLIP = 1e-12        # relative eigenvalue cutoff for the min-norm fallback
 CD_TOL = 1e-8             # coordinate descent: max coefficient change per sweep
 CD_MAX_SWEEPS = 10_000
 CD_CHUNK = 64             # columns standardized at a time by coordinate descent
-CD_BLOCK = 1 << 17        # elements per row block when coordinate descent scales Z
 
 
 def _solve_psd(A: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -277,19 +276,10 @@ def _coordinate_descent(Z, y, lam, penalized, gram, zy):
     unless p == 1, whose (n, 1) Z is itself unit-stride.
     """
     n, p = Z.shape
-    # Column mean squares, summed one contiguous row block at a time: adding
-    # the running sum into a block's first row keeps numpy's row-by-row
-    # order, so the scales have the bits of np.mean over whole columns.  One
-    # column is summed pairwise, as a contiguous vector, so p == 1 takes a
-    # single block.
-    block = n if p == 1 else max(1, CD_BLOCK // p)
-    sq_sum = np.zeros(p)
-    sq_buf = np.empty((min(block, n), p))
-    for i in range(0, n, block):
-        sq = np.multiply(Z[i:i + block], Z[i:i + block], out=sq_buf[:min(block, n - i)])
-        sq[0] += sq_sum
-        np.add.reduce(sq, axis=0, out=sq_sum)
-    del sq_buf
+    # Column sums of squares with the bits of np.mean over whole columns and
+    # no (n, p) temporary: einsum sums two or more C-order columns row by
+    # row, as np.mean does; one column is summed pairwise.
+    sq_sum = np.einsum("ij,ij->j", Z, Z) if p > 1 else np.add.reduce(Z * Z, axis=0)
     scales = np.sqrt(sq_sum / n)
     live = scales > 0
     eps = (n + 16) * 2.0 ** -52

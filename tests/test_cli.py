@@ -141,6 +141,23 @@ def test_cli_rejects_before_writing(tmp_path, monkeypatch, capsys, threads, args
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["run", "--set", "run.seeds="], "at least one seed required"),
+    (["compare", "--algos", ","], "empty algorithm list"),
+    (["run", "--config", "{missing}"], "cannot read config"),
+    (["run", "--config", "{headless}"], "malformed config"),
+])
+def test_cli_config_errors_exit_2_without_output(tmp_path, capsys, args, message):
+    headless = tmp_path / "headless.cfg"
+    headless.write_text("horizon = 50\n", encoding="utf-8")   # no [section] line
+    args = [a.format(missing=tmp_path / "missing.cfg", headless=headless) for a in args]
+    out = tmp_path / "out"
+    assert cli.main(args + ["--set", f"run.output_dir={out}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["run"],
     ["compare", "--algos", "uniform,igw"],
@@ -385,8 +402,9 @@ def test_uniform_regret_slope_matches_oracle(tmp_path):
     assert abs(slope - oracle) <= 0.05 * oracle
 
 
-def test_validate_command_passes(capsys):
-    assert cli.main(["validate"]) == 0
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["default", "seed1"])
+def test_validate_command_passes(capsys, seed):
+    assert cli.main(["validate"] + seed) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 4
     assert "4/4 checks passed" in out

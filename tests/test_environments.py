@@ -209,7 +209,7 @@ def test_round_shares_noise_across_actions():
 
 
 def test_regret_accounting():
-    rnd = Rounds(t0=1, contexts=np.zeros((1, 2)),
+    rnd = Rounds(contexts=np.zeros((1, 2)),
                  mean_rewards=np.array([[0.2, 0.9]]), noise=np.zeros(1))
     assert rnd.expected_regrets(np.array([2]))[0] == 0.0
     assert rnd.expected_regrets(np.array([1]))[0] == pytest.approx(0.7, abs=1e-12)

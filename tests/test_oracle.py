@@ -252,6 +252,15 @@ def test_rloss_missing_mu_hat_raises():
         fit_rloss([logged([0.1, 0.2], 1, [0.5, 0.5], 1.0)], fm)
 
 
+def test_fits_reject_a_negative_ridge_or_penalty():
+    fm = direct_design_map(2)
+    s = direct_samples(np.eye(2), [1.0, 0.0])
+    with pytest.raises(ValueError, match="ridge must be nonnegative"):
+        fit_rloss(s, fm, ridge=-1.0)
+    with pytest.raises(ValueError, match="penalty must be nonnegative"):
+        fit_rloss_lasso(s, fm, lam=-0.1)
+
+
 def test_rloss_recovers_population_minimizer_on_spanning_design():
     """Noiseless rewards from a linear effect, exact nuisance values, and a
     design whose residualized rows span R^p: the fit returns theta_star and

@@ -1,5 +1,7 @@
 """Action kernel, exploration schedule, safety monitor, and the epoch policy loop."""
 
+import hashlib
+import inspect
 import math
 
 import numpy as np
@@ -11,7 +13,7 @@ from hte_bandit import policy
 from hte_bandit.config import RunConfig
 from hte_bandit.core import (ActionDistribution, EpochSchedule, LoggedSample,
                              SampleBatch, inverse_cdf, rng_stream)
-from hte_bandit.environments import build_environment
+from hte_bandit.environments import EnvironmentSpec, build_environment
 from hte_bandit.oracle import (
     cross_fit_mu,
     empirical_rloss,
@@ -165,6 +167,10 @@ def test_batch_hash_is_pinned_and_chunk_free(monkeypatch):
         assert _hash_batch(samples) == want
 
 
+def test_batch_hash_of_no_rows_is_the_empty_digest():
+    assert _hash_batch([]) == hashlib.sha256().hexdigest()
+
+
 def test_batch_slices_like_a_sample_list():
     X = np.arange(12.0).reshape(4, 3)
     P = np.array([[0.2, 0.8], [0.5, 0.5], [1.0, 0.0], [0.4, 0.6]])
@@ -241,6 +247,17 @@ def test_monitor_first_epoch_always_safe():
     for t in range(1, 100):
         mon.record(1, 0.1)
         assert mon.check(t, 1, 0.05) == (True, 0)
+
+
+def test_monitor_check_before_the_epochs_first_reward_is_safe():
+    """An epoch with no reward yet, unlisted or listed with count 0, has no
+    mean to test, even beside a benchmark epoch."""
+    mon = SafetyMonitor(0.0, 1.0, n_min=1)
+    mon.record(1, np.ones(5))
+    assert mon.check(10, 2, 0.05) == (True, 0)
+    mon.record(2, np.array([]))
+    assert mon.counts == [5, 0]
+    assert mon.check(10, 2, 0.05) == (True, 0)
 
 
 def test_monitor_constant_rewards_never_trigger():
@@ -380,6 +397,14 @@ def test_first_epoch_is_uniform():
         np.testing.assert_allclose(dist.probs, 0.5, atol=1e-15)
         assert info["epoch"] == 1 and info["gamma"] == 1.0 and info["safe"]
         assert action in (1, 2)
+
+
+def test_act_block_rejects_a_block_across_an_epoch_boundary():
+    pol = Policy("uniform", 2, 2, EpochSchedule("explicit_list", boundaries=(4, 50)))
+    X, u = np.zeros((3, 2)), np.full(3, 0.5)
+    assert pol.act_block(2, X, u).epoch == 1          # rounds 2..4: epoch 1
+    with pytest.raises(ValueError, match="inside one epoch"):
+        pol.act_block(3, X, u)                        # rounds 3..5 span epochs 1, 2
 
 
 def test_uniform_policy_never_fits():
@@ -606,3 +631,17 @@ def test_refit_improves_holdout_rloss():
     _, fitted = cross_fit_mu(holdout, num_folds=2, ridge=1e-6 * 4096,
                              reward_range=cfg.reward_range(), fold_seed=55)
     assert empirical_rloss(new_model, fitted) <= empirical_rloss(old_model, fitted)
+
+
+# -- defaults declared twice ---------------------------------------------------
+
+@pytest.mark.parametrize("ctor,name", [
+    (EnvironmentSpec, "num_actions"), (EnvironmentSpec, "sigma"),
+    (EnvironmentSpec, "amplitude"), (EnvironmentSpec, "period"),
+    (Policy, "delta"), (Policy, "ridge_scale"), (Policy, "num_folds"),
+    (Policy, "rate_const"), (Policy, "lasso_const"), (Policy, "n_min"),
+    (SafetyMonitor, "n_min"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_run_config_defaults_match_the_constructors_they_feed(ctor, name):
+    """Direct construction and a load_config run with no keys set must agree."""
+    assert getattr(RunConfig(), name) == inspect.signature(ctor).parameters[name].default
