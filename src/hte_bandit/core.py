@@ -177,11 +177,7 @@ class FeatureMap:
         (e_a - p) kron v would round differently.  The shared intercept
         column is 1 - sum_b P[i, b].  Custom maps go row by row through fn.
         """
-        if self.kind != CUSTOM and X.shape[1:] != (self.raw_dim,):
-            raise ValueError(f"contexts have shape {X.shape[1:]}, "
-                             f"expected ({self.raw_dim},)")
-        if not np.all((A >= 1) & (A <= self.num_actions)):
-            raise ValueError(f"actions outside 1..{self.num_actions}")
+        self._check_rows(X, A)
         n = A.shape[0]
         Z = np.zeros((n, self.feature_dim))
         if self.kind == CUSTOM:
@@ -207,6 +203,47 @@ class FeatureMap:
             if P is not None:
                 block -= P[:, k, None] * V
         return Z
+
+    def normal_equations(self, X: np.ndarray, A: np.ndarray,
+                         y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(Z^T Z, Z^T y) for the chosen-action design Z = design(X, A).
+
+        Built-in kinds never form Z: the rows of action a, v = [x; 1], give
+        one (d+1)-square Gram V_a^T V_a and V_a^T y_a.  The arm-block Gram is
+        block diagonal with these blocks.  The shared map puts X_a^T X_a on
+        block a's diagonal, X_a^T 1 on the intercept border, and sums the
+        row counts and V_a^T y_a's last entries into the intercept's own
+        entries.  Custom maps form Z.
+        """
+        if self.kind == CUSTOM:
+            Z = self.design(X, A)
+            return Z.T @ Z, Z.T @ y
+        self._check_rows(X, A)
+        d, p = self.raw_dim, self.feature_dim
+        G, zy = np.zeros((p, p)), np.zeros(p)
+        for k in range(self.num_actions):
+            rows = A == k + 1
+            V = np.empty((np.count_nonzero(rows), d + 1))
+            V[:, :d] = X[rows]
+            V[:, d] = 1.0
+            g, v = V.T @ V, V.T @ y[rows]
+            if self.kind == ARM_BLOCK:
+                s = slice(k * (d + 1), (k + 1) * (d + 1))
+                G[s, s], zy[s] = g, v
+            else:  # SHARED_INTERCEPT
+                s = slice(k * d, (k + 1) * d)
+                G[s, s], zy[s] = g[:d, :d], v[:d]
+                G[s, -1] = G[-1, s] = g[:d, d]
+                G[-1, -1] += g[d, d]
+                zy[-1] += v[d]
+        return G, zy
+
+    def _check_rows(self, X: np.ndarray, A: np.ndarray) -> None:
+        if self.kind != CUSTOM and X.shape[1:] != (self.raw_dim,):
+            raise ValueError(f"contexts have shape {X.shape[1:]}, "
+                             f"expected ({self.raw_dim},)")
+        if not np.all((A >= 1) & (A <= self.num_actions)):
+            raise ValueError(f"actions outside 1..{self.num_actions}")
 
     def scores(self, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         """All K inner products <theta, phi(x, a)> without materializing phi:

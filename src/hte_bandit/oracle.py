@@ -11,11 +11,10 @@ Two fitting routes share the linear machinery here:
 Both come in a ridge flavor (exact normal-equation solve, SPD Cholesky
 with an eigen-clipped minimum-norm fallback) and a lasso flavor (cyclic
 coordinate descent on RMS-standardized columns, intercept coordinates
-unpenalized).  A lasso fit forms Z^T Z and Z^T y once: the auto penalty's
-ridge pilot solves on them, and coordinate descent starts its Z^T r from
-Z^T y and uses Z^T Z to skip every zero coordinate that a rounding-safe
-bound shows would stay zero, with the same bits as visiting it.  Nuisance
-values mu_hat come from cross_fit_mu: per-fold ridge regressions
+unpenalized).  Every fit solves from its normal equations Z^T Z, Z^T y:
+squared-error fits build them per action without Z
+(FeatureMap.normal_equations), and coordinate descent reads nothing else.
+Nuisance values mu_hat come from cross_fit_mu: per-fold ridge regressions
 predicting each sample from the complement of its fold.
 """
 
@@ -26,14 +25,28 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .core import STREAM_FOLD, FeatureMap, LoggedSample, SampleBatch, rng_stream
 
 EIGEN_CLIP = 1e-12        # relative eigenvalue cutoff for the min-norm fallback
 CD_TOL = 1e-8             # coordinate descent: max coefficient change per sweep
 CD_MAX_SWEEPS = 10_000
-CD_CHUNK = 64             # columns standardized at a time by coordinate descent
+SOLVE_BLOCK = 32          # diagonal block size of the triangular substitutions
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = b for lower-triangular L: a forward then a back
+    substitution, each a small solve per SOLVE_BLOCK diagonal block and
+    matrix-vector products for the rest."""
+    x = b.copy()
+    starts = range(0, b.shape[0], SOLVE_BLOCK)
+    for i in starts:
+        s = slice(i, i + SOLVE_BLOCK)
+        x[s] = np.linalg.solve(L[s, s], x[s] - L[s, :i] @ x[:i])
+    for i in reversed(starts):
+        s, e = slice(i, i + SOLVE_BLOCK), i + SOLVE_BLOCK
+        x[s] = np.linalg.solve(L[s, s].T, x[s] - L[e:, s].T @ x[e:])
+    return x
 
 
 def _solve_psd(A: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -44,11 +57,10 @@ def _solve_psd(A: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, bool]:
     with eigenvalues below EIGEN_CLIP * max(eig) treated as zero.
     """
     try:
-        c = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-        theta = scipy.linalg.cho_solve(c, b, check_finite=False)
+        theta = _cho_solve(np.linalg.cholesky(A), b)
         if np.all(np.isfinite(theta)):
             return theta, False
-    except scipy.linalg.LinAlgError:
+    except np.linalg.LinAlgError:
         pass
     w, V = np.linalg.eigh(A)
     tol = EIGEN_CLIP * max(float(w[-1]), 1.0)
@@ -172,6 +184,15 @@ def chosen_design(samples: Sequence[LoggedSample],
     return feature_map.design(batch.X, batch.A), batch.r.copy()
 
 
+def _chosen_normal_equations(samples, feature_map):
+    """(Z, y, Z^T Z, Z^T y) of the squared-error route, the Gram and Z^T y
+    built per action.  Z still comes from chosen_design, whose result
+    perfbench's traced pass checks each fit against."""
+    batch = SampleBatch.of(samples)
+    Z, y = chosen_design(batch, feature_map)
+    return (Z, y) + feature_map.normal_equations(batch.X, batch.A, y)
+
+
 def _solve_ridged(gram, zy, ridge):
     """Solve (gram + ridge I) theta = zy: the ridge goes on gram's diagonal
     for the solve, and the diagonal is then copied back."""
@@ -202,8 +223,8 @@ def fit_rloss(samples: Sequence[LoggedSample], feature_map: FeatureMap,
 def fit_squared_error(samples: Sequence[LoggedSample], feature_map: FeatureMap,
                       ridge: float = 0.0) -> LinearModel:
     """Ridge least squares of raw reward on phi(x_t, a_t)."""
-    Z, y = chosen_design(samples, feature_map)
-    theta, deficient = _ridge_fit(Z, y, ridge)
+    _, _, gram, zy = _chosen_normal_equations(samples, feature_map)
+    theta, deficient = _solve_ridged(gram, zy, ridge)
     return LinearModel(theta, feature_map, rank_deficient=deficient)
 
 
@@ -218,150 +239,49 @@ def auto_lambda(Z: np.ndarray, y: np.ndarray, gram: np.ndarray, zy: np.ndarray,
     return scale * sigma * math.sqrt(2.0 * math.log(p) / n)
 
 
-def _coordinate_descent(Z, y, lam, penalized, gram, zy):
-    """Cyclic CD for (1/2n)||y - Z theta||^2 + lam * sum_{penalized} |theta_j|.
+def _coordinate_descent(gram, zy, n, lam, penalized):
+    """Cyclic CD for (1/2n)||y - Z theta||^2 + lam * sum_{penalized} |theta_j|
+    on the normal equations gram = Z^T Z and zy = Z^T y alone, which are only
+    read: the covariance update of Friedman, Hastie & Tibshirani (2010,
+    section 2.2).  Returns (theta, converged, sweeps).
 
-    Columns are standardized to unit RMS internally; returned coefficients
-    live on the original scale.  Dead (all-zero) columns keep coefficient 0.
-    Returns (theta, converged, sweeps).  The normal equations G = gram =
-    Z.T @ Z and zy = Z.T @ y are only read.
-
-    Screening.  A penalized coordinate at zero whose rho = z_j . r satisfies
-    |rho| <= lam * n stays at zero, so its visit changes nothing.  Alongside
-    the residual r, zr tracks Z^T r: it starts as a copy of zy, and each
-    move d of coordinate k adds d * inv_s[k] * G[k].  Coordinate j is
-    skipped when it is penalized, at zero and |zr_j| inv_s_j + e_j < lam n,
-    where e_j bounds both the drift of zr_j inv_s_j from the exact z_j . r
-    and the rounding of the ddot that a visit would make.  With u = 2^-53,
-    eta = 2^-1074 (which bounds the underflow error of one product) and
-    eps = (n + 16) 2u >= gamma_n + 16u,
-
-        e_j = 2 (nu_j (A + eps R) + inv_s_j B + Om),
-
-    where nu_j = sqrt(G_jj + n eta) inv_s_j (1 + eps) + om bounds the norms
-    of column j, unrounded (||Z_j|| / s_j) and standardized (||z_j||); R
-    bounds ||r||; om = (n + 1)^2 2^-530 bounds every underflow term that is
-    not scaled by inv_s_j (all norms nu are below 2 sqrt(n) + om and all
-    scales lie in [2^-537, 2^513]); eps R covers the visit's ddot and the
-    check's own product.  The accumulators start from Y >= ||y|| at
-    A = eps Y, B = n eta and Om = om (1 + Y), covering the rounding of
-    Z^T y, of inv_s and of the division that makes z_j.  Each move of size
-    |d| at k adds to
-
-    * A: eps (|d| nu_k + R), the Gram's and the update's rounding
-      (gamma_n + 9u) |d| nu_j nu_k, the residual update's u ||z_j|| (|d|
-      nu_k + R), and the rounding of zr_j's own sum, u |zr_j inv_s_j| <=
-      u (nu_j R + e_j); and om (1 + |d|), the residual update's underflow;
-    * B: n eta |d| inv_s_k, the Gram's underflow |d| n eta inv_s_j inv_s_k,
-      large only between two columns whose squares underflow;
-    * Om: om (1 + |d|), the underflow of the update's products;
-    * R (recomputed from r at each sweep start): (R + |d| nu_k) (1 + eps)
-      + om.
-
-    The factor 2 absorbs the (1 + u) per move that zr_j's rounding feeds
-    back into e_j and the rounding of e_j's own evaluation.  The pilot's
-    ridge is never in G: the pilot puts it on the diagonal and copies the
-    diagonal back.  A NaN or inf anywhere makes the comparison false, so
-    that coordinate is visited.  A visited coordinate runs exactly the
-    unscreened step, so theta, converged and sweeps have the same bits as
-    without screening.
-
-    Lazy columns.  The scales need all of Z; the standardized columns do
-    not.  The first visit to a column of a CD_CHUNK-column chunk gathers
-    and standardizes, with their col_sq, only the chunk's columns that fail
-    the screen then.  A column that fails the screen later is gathered on
-    its own.  Each kept column is a strided view into its gather: BLAS ddot
-    sums every non-unit stride in the same order as the stride-p column of
-    Z, but a unit stride in another, so a lone column is gathered twice
-    unless p == 1, whose (n, 1) Z is itself unit-stride.
+    Columns are standardized to unit RMS, s_j = sqrt(G_jj / n), on the fly;
+    returned coefficients live on the original scale, and dead (all-zero)
+    columns keep coefficient 0.  c tracks Z^T r for the residual r: it starts
+    at zy, and a move of standardized coordinate k by d subtracts
+    (d / s_k) G[k].  A visit of j soft-thresholds rho = c_j / s_j + col_sq_j
+    theta_j with col_sq_j = G_jj / s_j^2, so a penalized coordinate at zero
+    with |rho| <= lam n stays there and costs no row update.
     """
-    n, p = Z.shape
-    # Column sums of squares with the bits of np.mean over whole columns and
-    # no (n, p) temporary: einsum sums two or more C-order columns row by
-    # row, as np.mean does; one column is summed pairwise.
-    sq_sum = np.einsum("ij,ij->j", Z, Z) if p > 1 else np.add.reduce(Z * Z, axis=0)
-    scales = np.sqrt(sq_sum / n)
+    p = zy.shape[0]
+    diag = np.diagonal(gram)
+    scales = np.sqrt(diag / n)
     live = scales > 0
-    eps = (n + 16) * 2.0 ** -52
-    om = (n + 1) ** 2 * 2.0 ** -530
-    n_eta = n * 2.0 ** -1074
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv_s = np.divide(1.0, scales, out=np.zeros(p), where=live)
-        nu = (np.sqrt(np.diagonal(gram) + n_eta) * inv_s * (1.0 + eps) + om).tolist()
-    zr = zy.copy()
-    # Reused buffers for the per-move products: fresh temporaries would be
-    # strewn through the heap between the kept columns, and the freed space
-    # would then stay resident and fragmented after the fit.
-    zr_step, r_step = np.empty(p), np.empty(n)
+    inv_s = np.divide(1.0, scales, out=np.zeros(p), where=live)
+    col_sq = (diag * inv_s * inv_s).tolist()
     inv_l = inv_s.tolist()
-    col_sq = [0.0] * p
-    cols = [None] * p
-    built = [False] * -(-p // CD_CHUNK)
     live_cols = np.flatnonzero(live).tolist()
     penalized = penalized.tolist()
     thr = lam * n
     theta = [0.0] * p
-    r = y.copy()
-    Y = math.sqrt(float(r @ r) + n_eta) * (1.0 + eps) + om
-    A, B, Om = eps * Y, n_eta, om * (1.0 + Y)
-
-    def screened(j):
-        return (penalized[j] and theta[j] == 0.0
-                and abs(zr.item(j)) * inv_l[j]
-                + 2.0 * (nu[j] * slack + inv_l[j] * B + Om) < thr)
-
-    def keep(idx):
-        # Standardize columns idx of Z and store their views and col_sq.
-        # np.take copies in C order, and a lone column is taken twice when
-        # p > 1, so einsum sums each column row by row, as over the whole
-        # design; a lone column, or one in F order, would be summed pairwise.
-        if len(idx) == 1 and p > 1:
-            idx = idx * 2
-        Zs = np.take(Z, idx, axis=1)
-        Zs /= scales[idx]
-        sq = np.einsum("ij,ij->j", Zs, Zs).tolist()
-        for m, j in enumerate(idx):
-            cols[j], col_sq[j] = Zs[:, m], sq[m]
-
-    def column(j):
-        ci = j // CD_CHUNK
-        if built[ci]:
-            keep([j])
-        else:
-            built[ci] = True
-            keep([i for i in range(ci * CD_CHUNK, min(ci * CD_CHUNK + CD_CHUNK, p))
-                  if live[i] and not screened(i)])
-        return cols[j]
-
+    c = zy.copy()
+    # One reused buffer for the row products: fresh temporaries would be
+    # strewn through the heap and leave it fragmented after the fit.
+    step = np.empty(p)
     converged = False
     for sweeps in range(1, CD_MAX_SWEEPS + 1):
-        R = math.sqrt(float(r @ r) + n_eta) * (1.0 + eps) + om
-        slack = A + eps * R
         delta = 0.0
         for j in live_cols:
-            if screened(j):
-                continue
-            z = cols[j]
-            if z is None:
-                z = column(j)
             old = theta[j]
-            rho = z @ r + col_sq[j] * old
+            rho = c.item(j) * inv_l[j] + col_sq[j] * old
             if penalized[j]:
                 new = math.copysign(max(abs(rho) - thr, 0.0), rho) / col_sq[j]
             else:
                 new = rho / col_sq[j]
             if new != old:
-                d = old - new
-                r += np.multiply(z, d, out=r_step)
+                c -= np.multiply(gram[j], (new - old) * inv_l[j], out=step)
                 delta = max(delta, abs(new - old))
                 theta[j] = new
-                zr += np.multiply(gram[j], d * inv_l[j], out=zr_step)
-                ad = abs(d)
-                R = (R + ad * nu[j]) * (1.0 + eps) + om
-                A += eps * (ad * nu[j] + R) + om * (1.0 + ad)
-                B += ad * inv_l[j] * n_eta      # n_eta * ad alone may underflow
-                Om += om * (1.0 + ad)
-                slack = A + eps * R
         if delta < CD_TOL:
             converged = True
             break
@@ -369,30 +289,32 @@ def _coordinate_descent(Z, y, lam, penalized, gram, zy):
     return out, converged, sweeps
 
 
-def _lasso_fit(Z, y, feature_map, lam, scale) -> LinearModel:
-    """Lasso fit of y on Z; intercept coordinates are never penalized.  The
-    auto penalty's ridge pilot and coordinate descent share Z^T Z, Z^T y."""
-    gram, zy = Z.T @ Z, Z.T @ y
+def _lasso_fit(Z, y, gram, zy, feature_map, lam, scale) -> LinearModel:
+    """Lasso fit of y on Z with normal equations gram = Z^T Z, zy = Z^T y;
+    intercept coordinates are never penalized.  Z and y serve only the auto
+    penalty's residual."""
     if lam == "auto":
         lam = auto_lambda(Z, y, gram, zy, scale)
     lam = float(lam)
     if lam < 0:
         raise ValueError("lasso penalty must be nonnegative")
-    theta, converged, sweeps = _coordinate_descent(Z, y, lam, feature_map.penalized(),
-                                                   gram, zy)
+    theta, converged, sweeps = _coordinate_descent(gram, zy, Z.shape[0], lam,
+                                                   feature_map.penalized())
     return LinearModel(theta, feature_map, converged=converged, lam=lam, sweeps=sweeps)
 
 
 def fit_rloss_lasso(samples: Sequence[LoggedSample], feature_map: FeatureMap,
                     lam="auto", scale: float = 1.0) -> LinearModel:
     """L1-penalized R-loss fit (see _lasso_fit)."""
-    return _lasso_fit(*residualized_design(samples, feature_map), feature_map, lam, scale)
+    Z, y = residualized_design(samples, feature_map)
+    return _lasso_fit(Z, y, Z.T @ Z, Z.T @ y, feature_map, lam, scale)
 
 
 def fit_squared_error_lasso(samples: Sequence[LoggedSample], feature_map: FeatureMap,
                             lam="auto", scale: float = 1.0) -> LinearModel:
     """L1-penalized squared-error fit (see _lasso_fit)."""
-    return _lasso_fit(*chosen_design(samples, feature_map), feature_map, lam, scale)
+    return _lasso_fit(*_chosen_normal_equations(samples, feature_map), feature_map,
+                      lam, scale)
 
 
 def empirical_rloss(model: LinearModel, samples: Sequence[LoggedSample]) -> float:

@@ -273,6 +273,26 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
                        tmp_path / "pinned" / "run_7.csv", shallow=False)
 
 
+def test_a_run_never_imports_scipy():
+    """numpy is the only runtime dependency: importing the package and a
+    300-round mod_igw run, whose lasso refits take the Cholesky pilot, leave
+    scipy out of sys.modules."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys\n"
+            "import hte_bandit\n"
+            "from hte_bandit.config import RunConfig\n"
+            "from hte_bandit.runner import run_experiment\n"
+            "res = run_experiment(RunConfig(algorithm='mod_igw', horizon=300,\n"
+            "                               seeds=(1,)).validate(), write=False)\n"
+            "assert res.results[0].fits\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
 def test_compare_ratio_and_artifacts(tmp_path, capsys):
     out = tmp_path / "cmp"
     code = cli.main(["compare", "--algos", "uniform,hte_igw",

@@ -11,9 +11,10 @@ tests/golden/wide_fits.txt pins the two lasso fits on one wide batch
 the sha256 of theta's bytes, float.hex(lam), the sparsity and whether
 coordinate descent converged.
 
-A change that alters these bytes on purpose regenerates both files
-(`PYTHONPATH=src python tests/test_golden.py`, which pins one BLAS thread
-as the suite does) and says why.
+A change that alters these bytes on purpose regenerates them, and
+tests/golden/validate.txt with them (`PYTHONPATH=src python
+tests/test_golden.py`, which pins one BLAS thread and the Haswell kernels
+as the suite does; see conftest.py), and says why.
 """
 
 import hashlib
@@ -102,6 +103,8 @@ def test_wide_lasso_fits_match_golden():
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
 
     import pytest
@@ -111,3 +114,7 @@ if __name__ == "__main__":
         GOLDEN.parent.mkdir(exist_ok=True)
         GOLDEN.write_text(digests(Path(d)), encoding="utf-8")
     WIDE_FITS.write_text(wide_fit_fingerprints(), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["validate"]) == 0
+    (GOLDEN.parent / "validate.txt").write_text(out.getvalue(), encoding="utf-8")

@@ -493,13 +493,74 @@ def test_lasso_kkt_at_active_solution():
     assert kkt_report(model, s, fm) <= 1e-6
 
 
-# -- coordinate descent, bit for bit -------------------------------------------
+# -- normal equations and the PSD solve --------------------------------------------
+
+@pytest.mark.parametrize("kind", sorted(DESIGN_MAPS))
+def test_normal_equations_match_the_design_gram(kind):
+    """The per-action (G, Z^T y) equal Z.T @ Z and Z.T @ y of the chosen
+    design up to rounding, for built-in maps with an action that has no
+    rows; a custom map forms Z and matches exactly."""
+    d, K, n = 4, 5, 60
+    fm = DESIGN_MAPS[kind](d, K)
+    rng = rng_stream(18, 0)
+    X = rng.standard_normal((n, d))
+    A = rng.integers(1, K, n)                  # action K has no rows
+    y = rng.standard_normal(n)
+    Z = fm.design(X, A)
+    G, zy = fm.normal_equations(X, A, y)
+    if kind == "custom":
+        assert_same_bits(G, Z.T @ Z)
+        assert_same_bits(zy, Z.T @ y)
+    else:
+        np.testing.assert_allclose(G, Z.T @ Z, rtol=1e-13, atol=1e-13 * n)
+        np.testing.assert_allclose(zy, Z.T @ y, rtol=1e-13, atol=1e-13 * n)
+        np.testing.assert_array_equal(G, G.T)
+    with pytest.raises(ValueError, match="actions outside"):
+        fm.normal_equations(X, np.full(n, K + 1), y)
+
+
+@pytest.mark.parametrize("p", [1, 42, oracle.SOLVE_BLOCK - 1, oracle.SOLVE_BLOCK,
+                               oracle.SOLVE_BLOCK + 1, 1608])
+def test_solve_psd_matches_lstsq(p):
+    rng = rng_stream(19, p)
+    B = rng.standard_normal((p, p))
+    A = B @ B.T / p + np.eye(p)
+    b = rng.standard_normal(p)
+    theta, fell_back = oracle._solve_psd(A, b)
+    assert not fell_back
+    want = np.linalg.lstsq(A, b, rcond=None)[0]
+    np.testing.assert_allclose(theta, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_solve_psd_falls_back_to_eigh_through_linalgerror(monkeypatch):
+    """A singular Gram makes np.linalg.cholesky raise LinAlgError, and the
+    minimum-norm eigh solution comes back flagged."""
+    raised = []
+    cholesky = np.linalg.cholesky
+
+    def spy(A):
+        try:
+            return cholesky(A)
+        except np.linalg.LinAlgError as e:
+            raised.append(e)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    v = np.array([1.0, 2.0, -1.0, 0.5])
+    A = np.outer(v, v)
+    b = 3.0 * v
+    theta, fell_back = oracle._solve_psd(A, b)
+    assert fell_back and len(raised) == 1
+    np.testing.assert_allclose(theta, np.linalg.lstsq(A, b, rcond=None)[0], atol=1e-12)
+
+
+# -- coordinate descent ------------------------------------------------------------
 
 def reference_coordinate_descent(Z, y, lam, penalized):
-    """The earlier, unscreened oracle._coordinate_descent, kept as the
-    reference: a C-order standardized copy Zs of Z, read one stride-p
-    column at a time, every live coordinate visited in every sweep.
-    Returns (theta, converged, sweeps)."""
+    """Residual-form CD, the oracle._coordinate_descent before it ran on the
+    normal equations alone: a C-order standardized copy Zs of Z, read one
+    column at a time, with rho = z_j . r from the residual.  Same objective,
+    other rounding.  Returns (theta, converged, sweeps)."""
     n, p = Z.shape
     scales = np.sqrt(np.mean(Z * Z, axis=0))
     live = scales > 0
@@ -531,6 +592,41 @@ def reference_coordinate_descent(Z, y, lam, penalized):
     return out, converged, sweeps
 
 
+def scalar_coordinate_descent(gram, zy, n, lam, penalized):
+    """oracle._coordinate_descent's covariance update in Python floats, one
+    rounded operation at a time, with no numpy in the loop.  numpy's
+    elementwise row update rounds each product and difference once on any
+    SIMD path, so the two agree bit for bit."""
+    G, c, p = gram.tolist(), zy.tolist(), zy.shape[0]
+    scales = [math.sqrt(G[j][j] / n) for j in range(p)]
+    inv = [1.0 / s if s > 0 else 0.0 for s in scales]
+    col_sq = [G[j][j] * inv[j] * inv[j] for j in range(p)]
+    thr = lam * n
+    theta = [0.0] * p
+    converged = False
+    for sweeps in range(1, oracle.CD_MAX_SWEEPS + 1):
+        delta = 0.0
+        for j in range(p):
+            if not scales[j] > 0:
+                continue
+            old = theta[j]
+            rho = c[j] * inv[j] + col_sq[j] * old
+            if penalized[j]:
+                new = math.copysign(max(abs(rho) - thr, 0.0), rho) / col_sq[j]
+            else:
+                new = rho / col_sq[j]
+            if new != old:
+                m = (new - old) * inv[j]
+                c = [ck - gk * m for ck, gk in zip(c, G[j])]
+                delta = max(delta, abs(new - old))
+                theta[j] = new
+        if delta < CD_TOL:
+            converged = True
+            break
+    out = np.array([t / s if s > 0 else 0.0 for t, s in zip(theta, scales)])
+    return out, converged, sweeps
+
+
 def cd_inputs(n, p, seed, dead=(), tiny=(), free=()):
     """A random (Z, y, penalized): columns on mixed scales, `dead` columns
     all zero, `tiny` columns scaled so their squares reach the subnormal
@@ -546,7 +642,7 @@ def cd_inputs(n, p, seed, dead=(), tiny=(), free=()):
 
 
 # (n, p, lam, dead, tiny, free): p in {1, 2, 3}, odd p, p > 64 and not a
-# multiple of 64 (65 and 129 end on a lone column), n = 1 and n >= 200.
+# multiple of 64, n = 1 and n >= 200.
 CD_CASES = [
     (1, 1, 0.0, (), (), ()),
     (40, 1, 0.05, (), (), ()),
@@ -575,64 +671,97 @@ def assert_same_cd(got, want):
     assert got[1:] == want[1:]
 
 
+def assert_close_cd(got, want, rtol=1e-12):
+    """Same sweeps, convergence and support (entries above rtol of the
+    largest), and theta within rtol of the largest entry."""
+    assert got[1:] == want[1:]
+    top = max(float(np.max(np.abs(want[0]))), 1e-300)
+    np.testing.assert_array_equal(np.abs(got[0]) > rtol * top,
+                                  np.abs(want[0]) > rtol * top)
+    assert float(np.max(np.abs(got[0] - want[0]))) <= rtol * top
+
+
 def coordinate_descent(Z, y, lam, penalized):
-    return oracle._coordinate_descent(Z, y, lam, penalized, Z.T @ Z, Z.T @ y)
+    return oracle._coordinate_descent(Z.T @ Z, Z.T @ y, Z.shape[0], lam, penalized)
 
 
 @pytest.mark.parametrize("n,p,lam,dead,tiny,free", CD_CASES)
 def test_coordinate_descent_matches_reference_bits(n, p, lam, dead, tiny, free):
+    """Given its normal equations, CD has the bits of the scalar reference,
+    tiny columns included, whatever numpy's SIMD dispatch or BLAS kernel."""
     Z, y, penalized = cd_inputs(n, p, seed=n * 1000 + p, dead=dead, tiny=tiny, free=free)
-    want = reference_coordinate_descent(Z, y, lam, penalized)
-    assert_same_cd(coordinate_descent(Z, y, lam, penalized), want)
+    gram, zy = Z.T @ Z, Z.T @ y
+    want = scalar_coordinate_descent(gram, zy, n, lam, penalized)
+    assert_same_cd(oracle._coordinate_descent(gram, zy, n, lam, penalized), want)
     assert 1 <= want[2] <= CD_MAX_SWEEPS
+
+
+# The cases above without tiny columns, whose Gram diagonal keeps too few
+# bits to standardize them as the residual form does, plus an infinite
+# penalty with a dead column.
+RESIDUAL_CASES = [c for c in CD_CASES if not c[4]] + [(250, 65, math.inf, (3,), (), (64,))]
+
+
+@pytest.mark.parametrize("n,p,lam,dead,tiny,free", RESIDUAL_CASES)
+def test_coordinate_descent_matches_the_residual_form(n, p, lam, dead, tiny, free):
+    Z, y, penalized = cd_inputs(n, p, seed=n * 1000 + p, dead=dead, tiny=tiny, free=free)
+    got = coordinate_descent(Z, y, lam, penalized)
+    assert_close_cd(got, reference_coordinate_descent(Z, y, lam, penalized))
+    assert np.all(got[0][list(dead)] == 0.0)
+    if lam == math.inf:
+        assert np.all(got[0][penalized] == 0.0)
 
 
 @pytest.mark.parametrize("n,p", [(300, 1), (200, 65)])
 def test_coordinate_descent_sweep_cap_matches_reference(monkeypatch, n, p):
-    """Both stop unconverged at the same bits when capped at one sweep, where
-    a p = 1 coefficient is one column dot product divided by col_sq."""
+    """Both stop unconverged after one sweep when capped there, with the same
+    coefficients up to rounding."""
     monkeypatch.setattr(oracle, "CD_MAX_SWEEPS", 1)
     monkeypatch.setitem(globals(), "CD_MAX_SWEEPS", 1)
     for seed in range(8):
         Z, y, penalized = cd_inputs(n, p, seed)
         want = reference_coordinate_descent(Z, y, 0.0, penalized)
         assert want[1:] == (False, 1)
-        assert_same_cd(coordinate_descent(Z, y, 0.0, penalized), want)
+        assert_close_cd(coordinate_descent(Z, y, 0.0, penalized), want)
+        gram, zy = Z.T @ Z, Z.T @ y
+        assert_same_cd(oracle._coordinate_descent(gram, zy, n, 0.0, penalized),
+                       scalar_coordinate_descent(gram, zy, n, 0.0, penalized))
 
 
 # -- coordinate descent screening -------------------------------------------------
 
-class CountingMath:
-    """Stands in for oracle's math module and counts copysign calls: one per
-    visit of a penalized coordinate, so skipped visits are the shortfall."""
+class CountingNumpy:
+    """Stands in for oracle's numpy module and counts np.multiply calls: one
+    per Gram row update, that is per coordinate move.  A visit that the soft
+    threshold holds at zero makes none."""
 
     def __init__(self):
-        self.copysign_calls = 0
+        self.row_updates = 0
 
-    def copysign(self, x, y):
-        self.copysign_calls += 1
-        return math.copysign(x, y)
+    def multiply(self, *args, **kwargs):
+        self.row_updates += 1
+        return np.multiply(*args, **kwargs)
 
     def __getattr__(self, name):
-        return getattr(math, name)
+        return getattr(np, name)
 
 
 def screened_cd(monkeypatch, Z, y, lam, penalized):
-    """Screened CD checked bit for bit against the reference, its normal
-    equations left as they were given; returns the penalized visits made
-    and the visits an unscreened sweep would make."""
+    """CD checked against the residual form, its normal equations left as
+    they were given; returns the row updates made and the visits of live
+    penalized coordinates."""
     want = reference_coordinate_descent(Z, y, lam, penalized)
     gram, zy = Z.T @ Z, Z.T @ y
     before = gram.copy(), zy.copy()
-    counter = CountingMath()
-    monkeypatch.setattr(oracle, "math", counter)
-    got = oracle._coordinate_descent(Z, y, lam, penalized, gram, zy)
-    monkeypatch.setattr(oracle, "math", math)
-    assert_same_cd(got, want)
+    counter = CountingNumpy()
+    monkeypatch.setattr(oracle, "np", counter)
+    got = oracle._coordinate_descent(gram, zy, Z.shape[0], lam, penalized)
+    monkeypatch.setattr(oracle, "np", np)
+    assert_close_cd(got, want)
     assert_same_bits(gram, before[0])
     assert_same_bits(zy, before[1])
     live = np.sqrt(np.mean(Z * Z, axis=0)) > 0
-    return counter.copysign_calls, int(np.sum(live & penalized)) * want[2]
+    return counter.row_updates, int(np.sum(live & penalized)) * want[2]
 
 
 def sparse_inputs(n, p, seed, support=5):
@@ -654,47 +783,56 @@ def test_screened_cd_skips_most_visits_on_wide_sparse_designs(monkeypatch, n, p,
     Z, y, penalized = sparse_inputs(n, p, seed=p)
     Zs = Z / np.sqrt(np.mean(Z * Z, axis=0))
     lam = frac * float(np.max(np.abs(Zs[:, :-1].T @ (y - y.mean())))) / n
-    visits, unscreened = screened_cd(monkeypatch, Z, y, lam, penalized)
-    assert visits < unscreened / 4
+    updates, visits = screened_cd(monkeypatch, Z, y, lam, penalized)
+    assert updates < visits / 4
 
 
 @pytest.mark.parametrize("below", [False, True])
 def test_screened_cd_at_the_exact_threshold(monkeypatch, below):
-    """lam n equals |rho| of coordinate 0 in sweep 1, as the reference's own
-    dot computes it (n = 256 makes lam n exact), or lies one ulp below it,
-    where the coordinate must move off zero by the last bit."""
+    """lam n equals |rho| of coordinate 0 in sweep 1, as CD computes it from
+    the normal equations (n = 256 makes lam n exact), or lies one ulp below
+    it, where the coordinate must move off zero by the last bit."""
+    monkeypatch.setattr(oracle, "CD_MAX_SWEEPS", 1)
     n, p = 256, 301
     Z, y, penalized = sparse_inputs(n, p, seed=7)
-    Zs = Z / np.sqrt(np.mean(Z * Z, axis=0))
-    rho = abs(float(Zs[:, 0] @ y))
+    gram, zy = Z.T @ Z, Z.T @ y
+    rho = abs(zy.item(0) * (1.0 / math.sqrt(gram.item(0, 0) / n)) + 0.0)
     thr = np.nextafter(rho, 0.0) if below else rho
     lam = thr / n
     assert lam * n == thr
-    visits, unscreened = screened_cd(monkeypatch, Z, y, lam, penalized)
-    assert visits < unscreened
+    got = oracle._coordinate_descent(gram, zy, n, lam, penalized)
+    assert (got[0][0] != 0.0) == below
+    assert_same_cd(got, scalar_coordinate_descent(gram, zy, n, lam, penalized))
 
 
 def test_screened_cd_skips_nothing_at_zero_penalty(monkeypatch):
+    """At lam = 0 the threshold holds no coordinate at zero: the first sweep
+    moves every live coordinate."""
     Z, y, penalized = sparse_inputs(300, 41, seed=3)
-    visits, unscreened = screened_cd(monkeypatch, Z, y, 0.0, penalized)
-    assert visits == unscreened
+    screened_cd(monkeypatch, Z, y, 0.0, penalized)
+    monkeypatch.setattr(oracle, "CD_MAX_SWEEPS", 1)
+    monkeypatch.setitem(globals(), "CD_MAX_SWEEPS", 1)
+    updates, visits = screened_cd(monkeypatch, Z, y, 0.0, penalized)
+    assert updates == visits + 1        # the unpenalized intercept moves too
 
 
 def test_screened_cd_skips_every_penalized_visit_at_infinite_penalty(monkeypatch):
     Z, y, penalized = sparse_inputs(300, 301, seed=4)
-    visits, _ = screened_cd(monkeypatch, Z, y, math.inf, penalized)
-    assert visits == 0
+    updates, _ = screened_cd(monkeypatch, Z, y, math.inf, penalized)
+    assert updates == 1                 # the intercept's one move to the mean
+    theta = coordinate_descent(Z, y, math.inf, penalized)[0]
+    assert np.all(theta[:-1] == 0.0)
+    assert theta[-1] == pytest.approx(y.mean(), rel=1e-12)
 
 
 @pytest.mark.parametrize("y_scale,nan", [(1.0, False), (1e300, False), (1.0, True)])
 def test_screened_cd_fails_closed_on_tiny_dead_and_overflowing_columns(monkeypatch, y_scale, nan):
-    """Columns whose squares underflow (tiny) or vanish (dead) must never be
-    skipped on a bound that does not hold, nor anything once the bound is
-    inf or NaN: at a 1e300 target the residual's squared norm overflows,
-    and one NaN target makes it and the tracked Z^T r NaN.  Three sweeps
-    suffice; a 1e300 target never meets the absolute CD_TOL."""
+    """Tiny columns (squares that underflow), dead ones, a 1e300 target whose
+    products overflow and a NaN target keep the scalar reference's results;
+    no NaN or inf rho holds a coordinate at zero, so a NaN target reaches
+    every live coefficient.  Three sweeps suffice; a 1e300 target never
+    meets the absolute CD_TOL."""
     monkeypatch.setattr(oracle, "CD_MAX_SWEEPS", 3)
-    monkeypatch.setitem(globals(), "CD_MAX_SWEEPS", 3)
     n, p = 300, 331
     Z, y, penalized = cd_inputs(n, p, seed=11, dead=(4, 200), tiny=(5, 6, 150, 330), free=(0,))
     Z[:, 7] *= 2e-162                       # squares partly underflow: sqrt(mean) is inexact
@@ -703,31 +841,15 @@ def test_screened_cd_fails_closed_on_tiny_dead_and_overflowing_columns(monkeypat
         y[17] = math.nan
     lam = 0.05 * y_scale
     with np.errstate(all="ignore"):
-        visits, unscreened = screened_cd(monkeypatch, Z, y, lam, penalized)
-    if y_scale > 1.0 or nan:
-        assert visits == unscreened
-
-
-def test_screened_cd_covers_a_gram_entry_lost_to_underflow(monkeypatch):
-    """Columns a (1, 1, 1) and a (1, 1, -2) are orthogonal, but a^2 lies
-    below the smallest normal, so every product rounds to a multiple of
-    2^-1074: Z.T @ Z holds an ulp where the true entry is 0, and scaled by
-    1 / (s_0 s_1) ~ 2e323 that ulp is of order one.  The target is set so
-    that, once coordinate 0 moves by |d| < 1 / n, the tracked zr_1 / s_1
-    falls to about a thousandth of its true value while the true rho_1
-    stays above lam n: coordinate 1 must still be visited."""
-    n = 3
-    Z = math.sqrt(0.6) * 2.0 ** -537 * np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -2.0]])
-    s = np.sqrt(np.mean(Z * Z, axis=0))
-    zs = Z / s
-    col_sq = np.einsum("ij,ij->j", zs, zs)
-    alpha, thr = 0.01, 3e-4
-    d = (thr - alpha * col_sq[0]) / col_sq[0]         # coordinate 0's old - new
-    shift = d / s[0] * (Z.T @ Z)[0, 1] / s[1]          # the Gram's change to zr_1 / s_1
-    y = alpha * zs[:, 0] - 1.001 * shift / col_sq[1] * zs[:, 1]
-    assert abs(d) < 1 / n
-    screened_cd(monkeypatch, Z, y, thr / n, np.ones(2, dtype=bool))
-    assert reference_coordinate_descent(Z, y, thr / n, np.ones(2, dtype=bool))[0][1] != 0.0
+        gram, zy = Z.T @ Z, Z.T @ y
+        got = oracle._coordinate_descent(gram, zy, n, lam, penalized)
+        want = scalar_coordinate_descent(gram, zy, n, lam, penalized)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    assert np.all(got[0][[4, 200]] == 0.0)
+    if nan:
+        live = np.sqrt(np.diagonal(gram) / n) > 0
+        assert np.all(np.isnan(got[0][live])) and np.all(got[0][~live] == 0.0)
 
 
 def test_screened_cd_after_a_pilot_that_falls_back_to_eigh(monkeypatch):
