@@ -105,14 +105,18 @@ CUSTOM = "custom"
 class FeatureMap:
     """Joint context-action embedding phi(x, a) in R^p.
 
+    A built-in map reads one column table, built in __post_init__: action
+    k = a - 1 has a first context column and an intercept column, and
+    phi(x, a) is x on the d columns from the first, 1 on the intercept
+    column and 0 elsewhere.
+
     arm_block_with_intercept
-        p = K*(d+1).  Block a (actions 1-indexed) holds [x; 1]; all other
-        blocks are zero.  Every coordinate belongs to exactly one action,
-        so per-arm intercepts exist and between-arm constants are
+        p = K*(d+1), columns (k(d+1), k(d+1)+d): block k holds [x; 1].  Each
+        action has its own intercept, so between-arm constants are
         representable.
     shared_with_intercept
-        p = K*d + 1.  Block a holds x, the single trailing coordinate is
-        an always-on shared intercept.  Score differences between actions
+        p = K*d + 1, columns (kd, Kd): block k holds x, and every action
+        shares the trailing intercept, so score differences between actions
         cannot contain a constant term.
     custom
         User-supplied callable with declared dimension.
@@ -129,13 +133,7 @@ class FeatureMap:
     def __post_init__(self):
         if self.num_actions < 2:
             raise ValueError("need at least two actions")
-        if self.raw_dim < 1 and self.kind != CUSTOM:
-            raise ValueError("raw context dimension must be positive")
-        if self.kind == ARM_BLOCK:
-            dim = self.num_actions * (self.raw_dim + 1)
-        elif self.kind == SHARED_INTERCEPT:
-            dim = self.num_actions * self.raw_dim + 1
-        elif self.kind == CUSTOM:
+        if self.kind == CUSTOM:
             if self.fn is None or self.custom_dim < 1:
                 raise ValueError("custom maps need fn and custom_dim")
             idx = self.custom_intercepts
@@ -144,10 +142,23 @@ class FeatureMap:
                     or len(set(idx)) != len(idx)):
                 raise ValueError(f"custom intercepts {idx!r} must be distinct "
                                  f"indices in 0..{self.custom_dim - 1}")
-            dim = self.custom_dim
+            object.__setattr__(self, "feature_dim", self.custom_dim)
+            return
+        if self.raw_dim < 1:
+            raise ValueError("raw context dimension must be positive")
+        K, d, k = self.num_actions, self.raw_dim, np.arange(self.num_actions)
+        if self.kind == ARM_BLOCK:
+            first, intercept = k * (d + 1), k * (d + 1) + d
+        elif self.kind == SHARED_INTERCEPT:
+            first, intercept = k * d, np.full(K, K * d)
         else:
             raise ValueError(f"unknown feature map kind {self.kind!r}")
-        object.__setattr__(self, "feature_dim", dim)
+        # Row k: action k+1's d context columns, then its intercept column.  An
+        # attribute, not a field, so equality, hash and repr see the fields only.
+        columns = np.column_stack([first[:, None] + np.arange(d), intercept])
+        columns.flags.writeable = False
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "feature_dim", int(intercept[-1]) + 1)
 
     def featurize(self, x: np.ndarray, action: int) -> np.ndarray:
         """Embed one (context, action) pair.  Action must lie in 1..K."""
@@ -171,11 +182,12 @@ class FeatureMap:
         rows phi(x_i, a_i) or, given propensity rows P (n, K), the
         residualized rows phi(x_i, a_i) - sum_b P[i, b] phi(x_i, b).
 
-        Built-in kinds are written in closed form, one action block at a
-        time: e_a kron v minus p kron v, v = [x; 1] (arm block) or x
-        (shared), as two separately rounded products like the row formula;
-        (e_a - p) kron v would round differently.  The shared intercept
-        column is 1 - sum_b P[i, b].  Custom maps go row by row through fn.
+        Built-in kinds read the column table, v = [x; 1]: given P, each
+        action b in turn subtracts P[:, b] v from its columns; then each row
+        adds v on its chosen action's.  So the chosen action's columns hold
+        v - P v (two roundings, like the row formula), the others' -P v, and
+        the shared intercept 1 - (P[i, 0] + ... + P[i, K-1]) summed in that
+        order.  Custom maps go row by row through fn.
         """
         self._check_rows(X, A)
         n = A.shape[0]
@@ -188,32 +200,24 @@ class FeatureMap:
                     phi = self.all_actions(X[i])
                     Z[i] = phi[A[i] - 1] - P[i] @ phi
             return Z
-        if self.kind == ARM_BLOCK:
-            V = np.empty((n, self.raw_dim + 1))
-            V[:, :-1] = X
-            V[:, -1] = 1.0
-        else:  # SHARED_INTERCEPT
-            V = X
-            Z[:, -1] = 1.0 if P is None else 1.0 - P.sum(axis=1)
-        w = V.shape[1]
-        for k in range(self.num_actions):
-            block = Z[:, k * w:(k + 1) * w]
-            rows = A == k + 1
-            block[rows] = V[rows]
-            if P is not None:
-                block -= P[:, k, None] * V
+        d = self.raw_dim
+        if P is not None:
+            for b, cols in enumerate(self._columns):
+                Z[:, cols[0]:cols[0] + d] -= P[:, b, None] * X
+                Z[:, cols[-1]] -= P[:, b]
+        for b, cols in enumerate(self._columns):
+            rows = A == b + 1
+            Z[rows, cols[0]:cols[0] + d] += X[rows]
+            Z[rows, cols[-1]] += 1.0
         return Z
 
     def normal_equations(self, X: np.ndarray, A: np.ndarray,
                          y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(Z^T Z, Z^T y) for the chosen-action design Z = design(X, A).
 
-        Built-in kinds never form Z: the rows of action a, v = [x; 1], give
-        one (d+1)-square Gram V_a^T V_a and V_a^T y_a.  The arm-block Gram is
-        block diagonal with these blocks.  The shared map puts X_a^T X_a on
-        block a's diagonal, X_a^T 1 on the intercept border, and sums the
-        row counts and V_a^T y_a's last entries into the intercept's own
-        entries.  Custom maps form Z.
+        Built-in kinds never form Z: the rows v = [x; 1] of action a give
+        V_a^T V_a and V_a^T y_a, added onto a's columns of the table, so only
+        a shared intercept's entries sum over actions.  Custom maps form Z.
         """
         if self.kind == CUSTOM:
             Z = self.design(X, A)
@@ -221,21 +225,13 @@ class FeatureMap:
         self._check_rows(X, A)
         d, p = self.raw_dim, self.feature_dim
         G, zy = np.zeros((p, p)), np.zeros(p)
-        for k in range(self.num_actions):
+        for k, cols in enumerate(self._columns):
             rows = A == k + 1
             V = np.empty((np.count_nonzero(rows), d + 1))
             V[:, :d] = X[rows]
             V[:, d] = 1.0
-            g, v = V.T @ V, V.T @ y[rows]
-            if self.kind == ARM_BLOCK:
-                s = slice(k * (d + 1), (k + 1) * (d + 1))
-                G[s, s], zy[s] = g, v
-            else:  # SHARED_INTERCEPT
-                s = slice(k * d, (k + 1) * d)
-                G[s, s], zy[s] = g[:d, :d], v[:d]
-                G[s, -1] = G[-1, s] = g[:d, d]
-                G[-1, -1] += g[d, d]
-                zy[-1] += v[d]
+            G[cols[:, None], cols] += V.T @ V
+            zy[cols] += V.T @ y[rows]
         return G, zy
 
     def _check_rows(self, X: np.ndarray, A: np.ndarray) -> None:
@@ -252,25 +248,17 @@ class FeatureMap:
         scores bit for bit (see row_products).
         """
         x = np.asarray(x, dtype=float)
-        K, d = self.num_actions, self.raw_dim
         if self.kind == CUSTOM:
             return self.all_actions(x) @ theta
         X = x[None, :] if x.ndim == 1 else x
-        if self.kind == ARM_BLOCK:
-            blocks = theta.reshape(K, d + 1)
-            S = row_products(blocks[:, :d], X) + blocks[:, d]
-        else:  # SHARED_INTERCEPT
-            S = row_products(theta[: K * d].reshape(K, d), X) + theta[-1]
+        S = row_products(theta[self._columns[:, :-1]], X) + theta[self._columns[:, -1]]
         return S[0] if x.ndim == 1 else S
 
     def intercept_indices(self) -> Tuple[int, ...]:
         """Coordinates left unpenalized by the lasso fits."""
-        if self.kind == ARM_BLOCK:
-            w = self.raw_dim + 1
-            return tuple(b * w + self.raw_dim for b in range(self.num_actions))
-        if self.kind == SHARED_INTERCEPT:
-            return (self.feature_dim - 1,)
-        return self.custom_intercepts
+        if self.kind == CUSTOM:
+            return self.custom_intercepts
+        return tuple(sorted(set(self._columns[:, -1].tolist())))
 
     def penalized(self) -> np.ndarray:
         """Boolean mask of the non-intercept coordinates, the ones the lasso

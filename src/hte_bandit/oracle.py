@@ -251,9 +251,12 @@ def _coordinate_descent(gram, zy, n, lam, penalized):
     at zy, and a move of standardized coordinate k by d subtracts
     (d / s_k) G[k].  A visit of j soft-thresholds rho = c_j / s_j + col_sq_j
     theta_j with col_sq_j = G_jj / s_j^2, so a penalized coordinate at zero
-    with |rho| <= lam n stays there and costs no row update.
+    with |rho| <= lam n stays there and costs no row update.  A fit converges
+    only with finite normal equations and theta: a NaN move never raises
+    delta, and its row update makes all of c NaN, so such a fit soon stops.
     """
     p = zy.shape[0]
+    finite = bool(np.isfinite(gram).all() and np.isfinite(zy).all())
     diag = np.diagonal(gram)
     scales = np.sqrt(diag / n)
     live = scales > 0
@@ -283,7 +286,7 @@ def _coordinate_descent(gram, zy, n, lam, penalized):
                 delta = max(delta, abs(new - old))
                 theta[j] = new
         if delta < CD_TOL:
-            converged = True
+            converged = finite and all(map(math.isfinite, theta))
             break
     out = np.where(live, np.array(theta) / np.where(live, scales, 1.0), 0.0)
     return out, converged, sweeps

@@ -191,8 +191,9 @@ class SafetyMonitor:
 
 @dataclass
 class FitRecord:
-    """Audit record of one epoch-boundary refit; model is the one deployed
-    in kernels[data_epoch + 1]."""
+    """Audit record of one epoch-boundary refit; model is the fitted one,
+    deployed in kernels[data_epoch + 1] unless its scores could overflow
+    (see Policy._refit)."""
 
     data_epoch: int
     n: int
@@ -381,7 +382,11 @@ class Policy:
             model = fit(fitted, self.feature_map, ridge=self.ridge_scale * n)
         gamma = self._gamma(n, m + 1, model.sparsity)
 
-        self.kernels[m + 1] = (model, gamma)
+        # Contexts have unit norm, so a finite doubled 1-norm of theta keeps
+        # every score finite.  A fit without one is not deployed: the kernel
+        # carries forward, as over an empty epoch.
+        finite = math.isfinite(2.0 * float(np.abs(model.theta).sum()))
+        self.kernels[m + 1] = (model, gamma) if finite else self.kernels[m]
         self.fits.append(FitRecord(
             data_epoch=m, n=n, model=model, gamma_next=gamma,
             data_hash=_hash_batch(batch), nuisance_fallback=fallback))

@@ -1,21 +1,28 @@
 """Config parsing, CSV/SVG emission, and the command-line entry points."""
 
+import contextlib
 import filecmp
+import io
+import math
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from hte_bandit import cli, config
 from hte_bandit.config import ConfigError, RunConfig, load_config
-from hte_bandit.core import STREAM_VALIDATION, rng_stream
-from hte_bandit.environments import build_environment
-from hte_bandit.runner import CURVE_HEADER, RUN_HEADER
+from hte_bandit.core import DOUBLING, EXPLICIT, FIXED_LENGTH, STREAM_VALIDATION, rng_stream
+from hte_bandit.environments import SCENARIOS, build_environment
+from hte_bandit.policy import ALGORITHMS
+from hte_bandit.runner import CURVE_HEADER, RUN_HEADER, run_experiment
 from hte_bandit.validation import (BOUND_TOL, BoundReport, _rloss_terms, _squared_terms,
                                    gap_identity_value, random_instance, shifted_class)
 
@@ -116,6 +123,101 @@ def test_each_field_is_set_by_its_one_key(f):
     cfg = load_config(None, [f"{keys[0]}={NON_DEFAULT[f.name]}"])
     assert getattr(cfg, f.name) != getattr(RunConfig(), f.name)
     assert cfg == replace(RunConfig(), **{f.name: getattr(cfg, f.name)})
+
+
+# -- the load-time promise ---------------------------------------------------------
+# A config that passes load_config either runs to completion or is rejected
+# at load time with exit code 2.  Each draw starts from a small run (BASE:
+# at most 300 rounds, one seed) and sets a few keys, drawn from
+# fields(RunConfig) by type, to values that favour the boundaries.
+
+BASE = {"d": 3, "horizon": 300, "seeds": (1,)}
+BOUNDARY_INTS = (-1, 0, 1, 2, 3, 32, 33, 300, 2 ** 63)
+BOUNDARY_FLOATS = (-math.inf, -1e308, -1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-6, 0.5, 1.0,
+                   2.0, 1e6, 1e300, 1e308, math.inf, math.nan)
+INT_CAPS = {"d": 4, "num_actions": 3, "horizon": 300}   # a run's memory and time
+CHOICES = {"scenario": SCENARIOS, "schedule_kind": (DOUBLING, FIXED_LENGTH, EXPLICIT),
+           "output_dir": ("", "out")}
+
+
+def _ints(cap):
+    return st.one_of(st.sampled_from([v for v in BOUNDARY_INTS if v <= cap]),
+                     st.integers(-1, cap))
+
+
+_FLOATS = st.one_of(st.sampled_from(BOUNDARY_FLOATS), st.floats())
+_VALUES = {
+    int: lambda name: _ints(INT_CAPS.get(name, 2 ** 63)),
+    float: lambda name: _FLOATS,
+    Optional[float]: lambda name: _FLOATS,
+    Tuple[int, ...]: lambda name: (
+        st.sampled_from(((), (-1,), (0,), (1,), (2 ** 63,))) if name == "seeds" else
+        st.one_of(st.lists(_ints(301), max_size=4),
+                  st.sets(_ints(301), max_size=4).map(sorted)).map(tuple)),
+    str: lambda name: st.sampled_from(CHOICES[name] + ("bogus",)),
+}
+_KEYS = {f.name: f"{f.metadata['section']}.{f.name.removeprefix('schedule_')}"
+         for f in fields(RunConfig)}
+
+
+def _text(value):
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def config_overrides(draw, algorithm, out_dir):
+    """--set overrides of BASE with up to five other keys drawn; the policy
+    key is fixed to algorithm, and a non-empty output_dir lands in out_dir."""
+    changed = {name: draw(_VALUES[config._TYPES[name]](name))
+               for name in draw(st.sets(st.sampled_from(sorted(set(_KEYS) - {"algorithm"})),
+                                        max_size=5))}
+    values = {**BASE, **changed, "algorithm": algorithm}
+    if values.get("output_dir", "out"):
+        values["output_dir"] = str(out_dir / values.get("output_dir", "out"))
+    return [f"{_KEYS[name]}={_text(v)}" for name, v in values.items()]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@settings(max_examples=12, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_a_loaded_config_runs_or_is_rejected_with_exit_2(algorithm, data, tmp_path_factory):
+    """load_config either raises ConfigError, and the CLI exits 2 with
+    nothing written, or run_experiment completes with a finite regret curve
+    and the CLI exits 0."""
+    root = tmp_path_factory.mktemp("promise")
+    overrides = data.draw(config_overrides(algorithm, root))
+    try:
+        cfg = load_config(None, overrides)
+    except ConfigError:
+        cfg = None
+    event("rejected" if cfg is None else "loaded")
+    if cfg is not None:
+        curve = run_experiment(cfg, write=False).curve
+        assert np.isfinite(curve.mean).all() and np.isfinite(curve.std).all()
+    argv = ["run"] + [arg for o in overrides for arg in ("--set", o)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    if cfg is None:
+        assert code == 2 and not any(root.iterdir())
+    else:
+        assert code == 0
+
+
+def test_a_reward_range_near_the_float_limit_runs_to_completion():
+    """With more folds than rows the nuisance falls back to the reward
+    range's midpoint, here about 3.5e307, and the early R-loss fits
+    overflow; they are not deployed, so the run completes."""
+    cfg = load_config(None, ["env.d=3", "env.horizon=300", "run.seeds=1",
+                             "policy.r_hi=6.972533046852865e+307", "oracle.num_folds=32",
+                             "policy.algorithm=hte_igw"])
+    with np.errstate(all="ignore"):
+        res = run_experiment(cfg, write=False)
+        norms = [2.0 * float(np.abs(f.model.theta).sum()) for f in res.results[0].fits]
+    assert np.isfinite(res.curve.mean).all()
+    assert not all(map(math.isfinite, norms))
 
 
 def test_cli_maps_config_error_to_exit_2(capsys):

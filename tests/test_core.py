@@ -52,6 +52,15 @@ def test_feature_dims():
     assert shared_intercept_map(20, 2).feature_dim == 41
 
 
+def test_feature_map_equality_hash_and_repr_see_only_the_fields():
+    fm = arm_block_map(2, 2)
+    assert fm == arm_block_map(2, 2) and hash(fm) == hash(arm_block_map(2, 2))
+    assert fm != shared_intercept_map(2, 2) and fm != arm_block_map(2, 3)
+    assert repr(fm) == ("FeatureMap(kind='arm_block_with_intercept', raw_dim=2, "
+                        "num_actions=2, feature_dim=6, fn=None, custom_dim=0, "
+                        "custom_intercepts=())")
+
+
 def test_shared_intercept_layout():
     fm = shared_intercept_map(2, 3)
     v = fm.featurize(np.array([0.25, -1.0]), 2)
@@ -89,7 +98,24 @@ def test_arm_block_scaling(alpha, action):
     assert not vs[:b].any() and not vs[b + w:].any()
 
 
+def explicit_phi(fm, x, a):
+    """phi(x, a) of a built-in map written out: block a-1 of an arm-block
+    vector holds [x; 1]; block a-1 of a shared vector holds x, and its last
+    entry is the intercept every action shares."""
+    d, K = fm.raw_dim, fm.num_actions
+    if fm.kind == "arm_block_with_intercept":
+        v = np.zeros(K * (d + 1))
+        v[(a - 1) * (d + 1):a * (d + 1)] = np.append(x, 1.0)
+    else:
+        v = np.zeros(K * d + 1)
+        v[(a - 1) * d:a * d] = x
+        v[-1] = 1.0
+    return v
+
+
 def test_scores_match_explicit_featurization():
+    """scores equal the inner products with phi from all_actions and with
+    the layout written out, one context or stacked, K >= 8 included."""
     rng = rng_stream(3, 0)
     for fm in (arm_block_map(4, 3), shared_intercept_map(4, 3)):
         for _ in range(20):
@@ -97,12 +123,28 @@ def test_scores_match_explicit_featurization():
             x = rng.standard_normal(4)
             np.testing.assert_allclose(fm.scores(theta, x),
                                        fm.all_actions(x) @ theta, atol=1e-12)
+    for d, K in ((4, 3), (1, 2), (3, 8), (5, 11)):
+        for fm in (arm_block_map(d, K), shared_intercept_map(d, K)):
+            theta = rng.standard_normal(fm.feature_dim)
+            X = rng.standard_normal((6, d))
+            want = np.array([[explicit_phi(fm, x, a) @ theta for a in range(1, K + 1)]
+                             for x in X])
+            np.testing.assert_allclose(fm.scores(theta, X), want, atol=1e-12)
+            for x, row in zip(X, want):
+                np.testing.assert_allclose(fm.scores(theta, x), row, atol=1e-12)
+                for a in range(1, K + 1):
+                    np.testing.assert_array_equal(fm.featurize(x, a),
+                                                  explicit_phi(fm, x, a))
 
 
 def test_intercept_indices_and_context_count():
     fm = arm_block_map(2, 2)
     assert fm.intercept_indices() == (2, 5)
     assert shared_intercept_map(2, 2).intercept_indices() == (4,)
+    for d, K in ((1, 2), (3, 8), (5, 11)):
+        assert arm_block_map(d, K).intercept_indices() == tuple(
+            a * (d + 1) + d for a in range(K))
+        assert shared_intercept_map(d, K).intercept_indices() == (K * d,)
     theta = np.array([0.0, 3.0, 7.0, 0.0, 0.0, -2.0])
     assert fm.context_coefficients(theta) == 1   # intercepts at 2, 5 excluded
     custom = custom_map(lambda x, a: np.zeros(4), feature_dim=4, num_actions=2,

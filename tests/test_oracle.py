@@ -82,12 +82,36 @@ DESIGN_MAPS = {
 }
 
 
-@pytest.mark.parametrize("K", [2, 5])
+def explicit_design(kind, K, X, A, P=None):
+    """The built-in layouts written out entry by entry, independent of
+    FeatureMap: block k of an arm-block row holds [x; 1] on columns
+    k(d+1) .. k(d+1)+d; block k of a shared row holds x on columns
+    kd .. kd+d-1, and the last column is the intercept of every action.
+    Given P, action k's entries are 1{a = k} v - P[k] v, and the shared
+    intercept is 1 - (P[0] + ... + P[K-1]), summed in that order."""
+    n, d = X.shape
+    w = d + 1 if kind == "arm_block" else d
+    Z = np.zeros((n, K * w + (kind == "shared_intercept")))
+    for i in range(n):
+        v = X[i].tolist() + [1.0]
+        total = 0.0
+        for k in range(K):
+            pk = 0.0 if P is None else float(P[i, k])
+            total += pk
+            for j in range(w):
+                Z[i, k * w + j] = (v[j] if k == A[i] - 1 else 0.0) - pk * v[j]
+        if kind == "shared_intercept":
+            Z[i, -1] = 1.0 - total
+    return Z
+
+
+@pytest.mark.parametrize("K", [2, 5, 8, 9])
 @pytest.mark.parametrize("kind", sorted(DESIGN_MAPS))
 def test_design_rows_match_per_row_formula(kind, K):
     """Both designs equal the per-row formulas built from featurize,
     phi(x, a) and phi(x, a) - sum_b p(b) phi(x, b): exactly, except the
-    shared intercept column (1 - sum_b p(b)), which may differ by an ulp."""
+    shared intercept column (1 - sum_b p(b)), which may differ by an ulp.
+    The built-in maps also match their layouts written out, exactly."""
     d, n = 3, 40
     fm = DESIGN_MAPS[kind](d, K)
     rng = rng_stream(11, 0)
@@ -109,6 +133,9 @@ def test_design_rows_match_per_row_formula(kind, K):
     blocks = slice(None, -1) if kind == "shared_intercept" else slice(None)
     np.testing.assert_array_equal(R[:, blocks], want_resid[:, blocks])
     np.testing.assert_allclose(R[:, -1], want_resid[:, -1], rtol=0, atol=1e-15)
+    if kind != "custom":
+        np.testing.assert_array_equal(Z, explicit_design(kind, K, X, A))
+        np.testing.assert_array_equal(R, explicit_design(kind, K, X, A, P))
 
 
 # -- cross-fitting -------------------------------------------------------------
@@ -499,24 +526,28 @@ def test_lasso_kkt_at_active_solution():
 def test_normal_equations_match_the_design_gram(kind):
     """The per-action (G, Z^T y) equal Z.T @ Z and Z.T @ y of the chosen
     design up to rounding, for built-in maps with an action that has no
-    rows; a custom map forms Z and matches exactly."""
-    d, K, n = 4, 5, 60
-    fm = DESIGN_MAPS[kind](d, K)
-    rng = rng_stream(18, 0)
-    X = rng.standard_normal((n, d))
-    A = rng.integers(1, K, n)                  # action K has no rows
-    y = rng.standard_normal(n)
-    Z = fm.design(X, A)
-    G, zy = fm.normal_equations(X, A, y)
-    if kind == "custom":
-        assert_same_bits(G, Z.T @ Z)
-        assert_same_bits(zy, Z.T @ y)
-    else:
-        np.testing.assert_allclose(G, Z.T @ Z, rtol=1e-13, atol=1e-13 * n)
-        np.testing.assert_allclose(zy, Z.T @ y, rtol=1e-13, atol=1e-13 * n)
-        np.testing.assert_array_equal(G, G.T)
-    with pytest.raises(ValueError, match="actions outside"):
-        fm.normal_equations(X, np.full(n, K + 1), y)
+    rows, and so do the Gram and Z^T y of the written-out layout; a custom
+    map forms Z and matches exactly."""
+    for d, K, n in ((4, 5, 60), (1, 2, 30), (3, 9, 80), (6, 12, 90)):
+        fm = DESIGN_MAPS[kind](d, K)
+        rng = rng_stream(18, 0)
+        X = rng.standard_normal((n, d))
+        A = rng.integers(1, K, n)                  # action K has no rows
+        y = rng.standard_normal(n)
+        Z = fm.design(X, A)
+        G, zy = fm.normal_equations(X, A, y)
+        if kind == "custom":
+            assert_same_bits(G, Z.T @ Z)
+            assert_same_bits(zy, Z.T @ y)
+        else:
+            np.testing.assert_allclose(G, Z.T @ Z, rtol=1e-13, atol=1e-13 * n)
+            np.testing.assert_allclose(zy, Z.T @ y, rtol=1e-13, atol=1e-13 * n)
+            np.testing.assert_array_equal(G, G.T)
+            E = explicit_design(kind, K, X, A)
+            np.testing.assert_allclose(G, E.T @ E, rtol=1e-13, atol=1e-13 * n)
+            np.testing.assert_allclose(zy, E.T @ y, rtol=1e-13, atol=1e-13 * n)
+        with pytest.raises(ValueError, match="actions outside"):
+            fm.normal_equations(X, np.full(n, K + 1), y)
 
 
 @pytest.mark.parametrize("p", [1, 42, oracle.SOLVE_BLOCK - 1, oracle.SOLVE_BLOCK,
@@ -570,6 +601,7 @@ def reference_coordinate_descent(Z, y, lam, penalized):
     thr = lam * n
     theta = np.zeros(p)
     r = y.copy()
+    finite = bool(np.isfinite(Z).all() and np.isfinite(y).all())
     converged = False
     for sweeps in range(1, CD_MAX_SWEEPS + 1):
         delta = 0.0
@@ -586,7 +618,7 @@ def reference_coordinate_descent(Z, y, lam, penalized):
                 delta = max(delta, abs(new - theta[j]))
                 theta[j] = new
         if delta < CD_TOL:
-            converged = True
+            converged = finite and bool(np.isfinite(theta).all())
             break
     out = np.where(live, theta / np.where(live, scales, 1.0), 0.0)
     return out, converged, sweeps
@@ -603,6 +635,7 @@ def scalar_coordinate_descent(gram, zy, n, lam, penalized):
     col_sq = [G[j][j] * inv[j] * inv[j] for j in range(p)]
     thr = lam * n
     theta = [0.0] * p
+    finite = all(math.isfinite(v) for row in G for v in row) and all(map(math.isfinite, c))
     converged = False
     for sweeps in range(1, oracle.CD_MAX_SWEEPS + 1):
         delta = 0.0
@@ -621,7 +654,7 @@ def scalar_coordinate_descent(gram, zy, n, lam, penalized):
                 delta = max(delta, abs(new - old))
                 theta[j] = new
         if delta < CD_TOL:
-            converged = True
+            converged = finite and all(map(math.isfinite, theta))
             break
     out = np.array([t / s if s > 0 else 0.0 for t, s in zip(theta, scales)])
     return out, converged, sweeps
@@ -831,7 +864,8 @@ def test_screened_cd_fails_closed_on_tiny_dead_and_overflowing_columns(monkeypat
     products overflow and a NaN target keep the scalar reference's results;
     no NaN or inf rho holds a coordinate at zero, so a NaN target reaches
     every live coefficient.  Three sweeps suffice; a 1e300 target never
-    meets the absolute CD_TOL."""
+    meets the absolute CD_TOL, and neither it nor a NaN target is reported
+    converged."""
     monkeypatch.setattr(oracle, "CD_MAX_SWEEPS", 3)
     n, p = 300, 331
     Z, y, penalized = cd_inputs(n, p, seed=11, dead=(4, 200), tiny=(5, 6, 150, 330), free=(0,))
@@ -847,9 +881,48 @@ def test_screened_cd_fails_closed_on_tiny_dead_and_overflowing_columns(monkeypat
     np.testing.assert_array_equal(got[0], want[0])
     assert got[1:] == want[1:]
     assert np.all(got[0][[4, 200]] == 0.0)
+    if nan or y_scale != 1.0:
+        assert not got[1]
     if nan:
         live = np.sqrt(np.diagonal(gram) / n) > 0
         assert np.all(np.isnan(got[0][live])) and np.all(got[0][~live] == 0.0)
+
+
+@pytest.mark.parametrize("where", ["target", "context"])
+def test_coordinate_descent_reports_a_nan_fit_unconverged(where):
+    """One NaN target, or one NaN design entry (its column's Gram diagonal is
+    NaN, so CD reads that column as dead), ends CD within a few sweeps,
+    unconverged."""
+    rng = np.random.default_rng(5)
+    Z, y = rng.standard_normal((50, 4)), rng.standard_normal(50)
+    if where == "target":
+        y[3] = math.nan
+    else:
+        Z[3, 2] = math.nan
+    theta, converged, sweeps = oracle._coordinate_descent(
+        Z.T @ Z, Z.T @ y, 50, 0.01, np.ones(4, dtype=bool))
+    assert not converged and sweeps <= 10
+    assert np.isnan(theta).any() == (where == "target")
+
+
+@pytest.mark.parametrize("lam", ["auto", 0.01])
+@pytest.mark.parametrize("fit,make_map", [(fit_rloss_lasso, arm_block_map),
+                                          (fit_squared_error_lasso, shared_intercept_map)],
+                         ids=["rloss", "squared_error"])
+def test_lasso_fits_report_a_nan_reward_unconverged(fit, make_map, lam):
+    """A 60-row batch with one NaN reward (and so, for lam="auto", a NaN
+    penalty) gives a lasso model that says it did not converge."""
+    d, n = 3, 60
+    rng = rng_stream(23, 0)
+    X = rng.standard_normal((n, d))
+    A = rng.integers(1, 3, n)
+    r = rng.standard_normal(n)
+    r[7] = math.nan
+    samples = [logged(X[i], int(A[i]), [0.5, 0.5], float(r[i]), mu=0.0) for i in range(n)]
+    with np.errstate(invalid="ignore"):
+        model = fit(samples, make_map(d, 2), lam=lam)
+    assert not model.converged and 1 <= model.sweeps <= 10
+    assert np.isnan(model.theta).any()
 
 
 def test_screened_cd_after_a_pilot_that_falls_back_to_eigh(monkeypatch):

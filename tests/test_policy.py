@@ -570,6 +570,38 @@ def test_fit_records_copy_the_deployed_model_fields(algorithm):
             assert model.lam > 0.0 and model.converged and model.sweeps >= 1
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e308])
+def test_a_fit_whose_scores_could_overflow_is_not_deployed(monkeypatch, bad):
+    """A refit whose theta has a NaN, or a 1-norm that doubled overflows, is
+    recorded but not deployed: the kernel before it carries forward, as over
+    an empty epoch, and play goes on."""
+    fit_rloss = policy.fit_rloss
+
+    def overflowing(samples, feature_map, ridge=0.0):
+        model = fit_rloss(samples, feature_map, ridge)
+        if len(pol.fits) >= 1:
+            model.theta[0] = bad
+        return model
+
+    monkeypatch.setattr(policy, "fit_rloss", overflowing)
+    cfg = RunConfig(scenario="lin_lin", d=4, horizon=600, algorithm="hte_igw",
+                    schedule_kind="doubling", schedule_base=64, seeds=(4,))
+    env = build_environment(cfg.env_spec(4))
+    pol = cfg.policy(4)
+    rc, rn, ra = (rng_stream(4, s) for s in (0, 1, 2))
+    for t in range(1, 601):
+        rnd = env.sample_round(rc, rn, t)
+        a, dist, _ = pol.act(t, rnd.contexts[0], ra)
+        pol.record(t, rnd.contexts[0], a, dist, float(rnd.rewards(np.array([a]))[0]))
+
+    first, *rest = pol.fits
+    assert [f.data_epoch for f in pol.fits] == [1, 2, 3]
+    assert first.model is pol.kernels[2][0]
+    for rec in rest:
+        assert not math.isfinite(2.0 * float(rec.model.theta[0]))
+        assert pol.kernels[rec.data_epoch + 1] is pol.kernels[2]
+
+
 def test_identical_runs_produce_identical_sequences():
     cfg = RunConfig(scenario="lin_lin", d=4, horizon=600, algorithm="hte_igw",
                     schedule_kind="doubling", schedule_base=64,
