@@ -99,7 +99,7 @@ class RunConfig:
             # Round horizon has the largest drift angle of the run; an angle
             # that overflows raises ValueError, so numpy need not warn too.
             with np.errstate(over="ignore"):
-                build_environment(spec).mean_rewards(np.zeros(self.d), self.horizon)
+                build_environment(spec).mean_rewards(np.zeros((1, self.d)), self.horizon)
             self.policy(self.seeds[0]).check_horizon(self.horizon)
         except ValueError as e:
             raise ConfigError(str(e)) from e

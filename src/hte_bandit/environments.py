@@ -101,8 +101,8 @@ def _unit_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 class Environment:
     """A built scenario: ground truth frozen, sampling of round blocks exposed.
 
-    Every method takes one context (d,) or a block of contexts (n, d); a
-    single context is the n = 1 case of the same code.
+    Every method takes a block of contexts (n, d) and returns one row per
+    context; a single context is the n = 1 block.
     """
 
     def __init__(self, spec: EnvironmentSpec, truth: Optional[GroundTruth] = None):
@@ -125,60 +125,57 @@ class Environment:
             u = rng.uniform(0.0, 1.0, size=K)
             self.truth = GroundTruth(thetas=_unit_sphere(rng, K, d), u=u)
 
-    def g_star(self, x: np.ndarray) -> np.ndarray:
-        """Treatment-effect part g(x, .): (K,) for one context, (n, K) for a block."""
+    def _block(self, x: np.ndarray) -> np.ndarray:
+        """x as an (n, d) float block; anything else raises ValueError."""
         X = np.asarray(x, dtype=float)
-        one = X.ndim == 1
-        if one:
-            X = X[None, :]
+        if X.ndim != 2 or X.shape[1] != self.spec.d:
+            raise ValueError(f"contexts must be an (n, {self.spec.d}) block, "
+                             f"got shape {X.shape}")
+        return X
+
+    def g_star(self, x: np.ndarray) -> np.ndarray:
+        """Treatment-effect part g(x, .) of each row: (n, K)."""
+        X = self._block(x)
         s, tr = self.spec.scenario, self.truth
         if s == "lin_lin":
-            g = 1.0 + row_products(tr.thetas, X)
-        elif s in ("lin_const", "nonstationary", "step_lin"):
+            return 1.0 + row_products(tr.thetas, X)
+        if s in ("lin_const", "nonstationary", "step_lin"):
             g = np.empty((X.shape[0], tr.u.size))
             g[:] = tr.u
-            g[:, 0] += 1.0
         else:
             g = row_products(tr.thetas, X)
             g = g + np.sin(g)
-            g[:, 0] += 1.0
-        return g[0] if one else g
+        g[:, 0] += 1.0
+        return g
 
-    def h_star(self, x: np.ndarray, t=1):
-        """Confounder h_t(x): a float for one context, (n,) for a block
-        (then t is one round or an (n,) array of rounds)."""
-        X = np.asarray(x, dtype=float)
-        one = X.ndim == 1
-        if one:
-            X = X[None, :]
+    def h_star(self, x: np.ndarray, t=1) -> np.ndarray:
+        """Confounder h_t(x) of each row: (n,); t is one round or an (n,)
+        array of rounds."""
+        X = self._block(x)
         s, tr = self.spec.scenario, self.truth
         if s == "lin_lin":
-            h = np.zeros(X.shape[0])
-        elif s == "lin_const":
-            h = 1.0 + row_products(tr.theta[None, :], X)[:, 0]
-        elif s == "nonstationary":
+            return np.zeros(X.shape[0])
+        if s in ("step_lin", "perturbed"):
+            peak = (1.0 + row_products(tr.thetas, X)).max(axis=1)
+            return np.where(X[:, 0] <= 0.25, 0.0, -peak)
+        h = 1.0 + row_products(tr.theta[None, :], X)[:, 0]
+        if s == "nonstationary":
             # math.sin per round, as numpy's sin need not round alike.
-            angle = 2.0 * math.pi * np.broadcast_to(t, X.shape[:1]) / self.spec.period
+            angle = 2.0 * math.pi * np.broadcast_to(t, h.shape) / self.spec.period
             try:
                 drift = [self.spec.amplitude * math.sin(a) for a in angle.tolist()]
             except ValueError as e:
                 raise ValueError(f"drift angle 2 pi t / period overflows at "
                                  f"period {self.spec.period!r}") from e
-            h = 1.0 + row_products(tr.theta[None, :], X)[:, 0] + np.array(drift)
-        else:  # step_lin / perturbed confounder
-            peak = (1.0 + row_products(tr.thetas, X)).max(axis=1)
-            h = np.where(X[:, 0] <= 0.25, 0.0, -peak)
-        return float(h[0]) if one else h
+            h += drift
+        return h
 
     def mean_rewards(self, x: np.ndarray, t=1) -> np.ndarray:
-        h = self.h_star(x, t)
-        return self.g_star(x) + (h if np.ndim(x) == 1 else h[:, None])
+        """Mean reward f_t(x, .) = g(x, .) + h_t(x) of each row: (n, K)."""
+        return self.g_star(x) + self.h_star(x, t)[:, None]
 
-    def sample_context(self, rng: np.random.Generator) -> np.ndarray:
-        return _unit_sphere(rng, 1, self.spec.d)[0]
-
-    def sample_noise(self, rng: np.random.Generator, n: Optional[int] = None):
-        """One noise draw (n None) or an (n,) block of them."""
+    def sample_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """An (n,) block of noise draws."""
         # Centered uniform with variance sigma^2: width sqrt(12) sigma.
         return math.sqrt(12.0) * self.spec.sigma * (rng.random(n) - 0.5)
 

@@ -407,18 +407,29 @@ class Policy:
         (m = 2) on n = horizon rounds at the smallest dimension; and no
         epoch has a smaller confidence delta' / m^2 than the last one.
 
-        Also raise unless the safety monitor's log argument 4 m^2 t^2 / delta,
-        largest at the last epoch and round, is finite: past the float range
-        every bound of the monitor is infinite and it can never trigger."""
+        Also raise unless the safety monitor's log argument 4 m^2 t^2 / delta
+        and its bounds are finite where they are largest, at the last epoch
+        and round (n = 1): a bound lies within r_hi + w and r_lo - w, with
+        w = (r_hi - r_lo) sqrt(log(4 m^2 t^2 / delta) / 2).  Past the float
+        range every bound of the monitor is infinite and it can never
+        trigger."""
         if horizon < 1:
             return
         last = self.schedule.epoch_of(horizon)
         if self.algorithm == "uniform":
             return
-        if not math.isfinite(4.0 * last * last * horizon * horizon / self.delta):
+        log_arg = 4.0 * last * last * horizon * horizon / self.delta
+        if not math.isfinite(log_arg):
             raise ValueError(
                 f"the safety monitor's confidence term 4 m^2 t^2 / delta overflows "
                 f"at epoch {last} of horizon {horizon} (delta {self.delta!r})")
+        r_lo, r_hi = self.reward_range
+        w = (r_hi - r_lo) * math.sqrt(math.log(log_arg) / 2.0)
+        if not (math.isfinite(r_hi + w) and math.isfinite(r_lo - w)):
+            raise ValueError(
+                f"the safety monitor's bounds overflow at epoch {last} of horizon "
+                f"{horizon}: reward range {(r_lo, r_hi)!r} is too wide "
+                f"(delta {self.delta!r})")
         for m in (2, max(last, 2)):
             try:
                 self._gamma(horizon, m, 0)

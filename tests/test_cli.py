@@ -91,6 +91,8 @@ def test_config_file_and_overrides(tmp_path):
     ["env.scenario=nonstationary", "env.period=1e-310", "env.horizon=50"],  # drift angle overflows
     ["policy.algorithm=uniform", "schedule.kind=explicit_list", "schedule.boundaries=10,20"],
     ["env.scenario=nonstationary", "policy.delta=1e-310", "env.horizon=3000"],  # monitor term overflows
+    ["env.scenario=nonstationary", "policy.r_hi=6.972533046852865e+307",
+     "env.horizon=3000"],                     # monitor bounds overflow
 ])
 def test_bad_config_raises(overrides):
     with pytest.raises(ConfigError):
@@ -208,10 +210,10 @@ def test_a_loaded_config_runs_or_is_rejected_with_exit_2(algorithm, data, tmp_pa
 
 def test_a_reward_range_near_the_float_limit_runs_to_completion():
     """With more folds than rows the nuisance falls back to the reward
-    range's midpoint, here about 3.5e307, and the early R-loss fits
+    range's midpoint, here about 2e307, and the early R-loss fits
     overflow; they are not deployed, so the run completes."""
     cfg = load_config(None, ["env.d=3", "env.horizon=300", "run.seeds=1",
-                             "policy.r_hi=6.972533046852865e+307", "oracle.num_folds=32",
+                             "policy.r_hi=4e307", "oracle.num_folds=32",
                              "policy.algorithm=hte_igw"])
     with np.errstate(all="ignore"):
         res = run_experiment(cfg, write=False)
@@ -231,6 +233,8 @@ def test_cli_maps_config_error_to_exit_2(capsys):
     (None, ["compare", "--algos", "uniform,thompson"]),
     (None, ["compare", "--algos", "igw", "--set", "run.seeds=-1"]),
     (None, ["compare", "--algos", "igw,uniform,igw"]),
+    (None, ["run", "--set", "env.scenario=nonstationary",
+            "--set", "policy.r_hi=6.972533046852865e+307"]),  # monitor bounds overflow
 ])
 def test_cli_rejects_before_writing(tmp_path, monkeypatch, capsys, threads, args):
     if threads is not None:

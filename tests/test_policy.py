@@ -13,7 +13,7 @@ from hte_bandit import policy
 from hte_bandit.config import RunConfig
 from hte_bandit.core import (ActionDistribution, EpochSchedule, LoggedSample,
                              SampleBatch, inverse_cdf, rng_stream)
-from hte_bandit.environments import EnvironmentSpec, build_environment
+from hte_bandit.environments import EnvironmentSpec, _unit_sphere, build_environment
 from hte_bandit.oracle import (
     cross_fit_mu,
     empirical_rloss,
@@ -654,10 +654,10 @@ def test_refit_improves_holdout_rloss():
     rv = rng_stream(900, 5)
     holdout = []
     for _ in range(4096):
-        x = env.sample_context(rv)
+        x = _unit_sphere(rv, 1, cfg.d)[0]
         dist = igw_kernel(old_model.predict(x), old_gamma)
         a = dist.sample(rv)
-        r = float(env.mean_rewards(x)[a - 1] + env.sample_noise(rv))
+        r = float(env.mean_rewards(x[None])[0, a - 1] + env.sample_noise(rv, 1)[0])
         holdout.append(LoggedSample(context=x, action=a, propensities=dist,
                                     reward=r))
     _, fitted = cross_fit_mu(holdout, num_folds=2, ridge=1e-6 * 4096,

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from hte_bandit.core import rng_stream
-from hte_bandit.environments import EnvironmentSpec, build_environment
+from hte_bandit.environments import EnvironmentSpec, _unit_sphere, build_environment
 from hte_bandit.validation import (
     BoundReport,
     FiniteInstance,
@@ -317,8 +317,8 @@ def test_mc_excess_risk_matches_quadrature_on_linear_scenario():
     assert quad == pytest.approx(closed, rel=2e-3)
 
     rng = rng_stream(58, 5)
-    est, se = mc_excess_risk(env.sample_context,
+    est, se = mc_excess_risk(lambda rng: _unit_sphere(rng, 1, d)[0],
                              lambda x: np.array([0.5, 0.5]),
                              lambda x: np.zeros(2),
-                             env.g_star, 100_000, rng)
+                             lambda x: env.g_star(x[None])[0], 100_000, rng)
     assert abs(est - quad) <= 3.0 * se
