@@ -14,8 +14,12 @@ coordinate descent on RMS-standardized columns, intercept coordinates
 unpenalized).  Every fit solves from its normal equations Z^T Z, Z^T y:
 squared-error fits build them per action without Z
 (FeatureMap.normal_equations), and coordinate descent reads nothing else.
-Nuisance values mu_hat come from cross_fit_mu: per-fold ridge regressions
-predicting each sample from the complement of its fold.
+No n x p design is alive while a Gram is factored: R-loss fits drop Z once
+its normal equations are formed, the auto penalty builds the design it
+reads after its pilot is solved, and squared-error fits build theirs only
+after the factorization.  Nuisance values mu_hat come from cross_fit_mu:
+per-fold ridge regressions predicting each sample from the complement of
+its fold.
 """
 
 from __future__ import annotations
@@ -151,13 +155,21 @@ def cross_fit_mu(samples: Sequence[LoggedSample], num_folds: int = 2,
     mu = np.empty(n)
     for k in range(num_folds):
         train = fold_of != k
-        beta, _ = _ridge_fit(X[train], rewards[train], ridge)
+        Xk = X[train]   # one bound array: Xk.T @ Xk takes numpy's syrk path
+        beta, _ = _solve_ridged(Xk.T @ Xk, Xk.T @ rewards[train], ridge)
         val = fold_of == k
         mu[val] = X[val] @ beta
     if reward_range is not None:
         np.clip(mu, reward_range[0], reward_range[1], out=mu)
 
     return NuisanceEstimate(fold_of, mu), batch.with_mu(mu)
+
+
+def _nonempty(samples: Sequence[LoggedSample]) -> SampleBatch:
+    batch = SampleBatch.of(samples)
+    if len(batch) == 0:
+        raise ValueError("empty sample batch")
+    return batch
 
 
 def residualized_design(samples: Sequence[LoggedSample],
@@ -167,9 +179,7 @@ def residualized_design(samples: Sequence[LoggedSample],
     z_t = phi(x_t, a_t) - sum_a p_t(a) phi(x_t, a),  y_t = r_t - mu_hat_t.
     Requires cross-fitted mu_hat on every sample.
     """
-    batch = SampleBatch.of(samples)
-    if len(batch) == 0:
-        raise ValueError("empty sample batch")
+    batch = _nonempty(samples)
     if batch.mu is None:
         raise ValueError("samples lack cross-fitted mu_hat")
     return feature_map.design(batch.X, batch.A, batch.P), batch.r - batch.mu
@@ -178,19 +188,16 @@ def residualized_design(samples: Sequence[LoggedSample],
 def chosen_design(samples: Sequence[LoggedSample],
                   feature_map: FeatureMap) -> Tuple[np.ndarray, np.ndarray]:
     """Design for the squared-error route: rows phi(x_t, a_t), targets r_t."""
-    batch = SampleBatch.of(samples)
-    if len(batch) == 0:
-        raise ValueError("empty sample batch")
+    batch = _nonempty(samples)
     return feature_map.design(batch.X, batch.A), batch.r.copy()
 
 
-def _chosen_normal_equations(samples, feature_map):
-    """(Z, y, Z^T Z, Z^T y) of the squared-error route, the Gram and Z^T y
-    built per action.  Z still comes from chosen_design, whose result
-    perfbench's traced pass checks each fit against."""
-    batch = SampleBatch.of(samples)
-    Z, y = chosen_design(batch, feature_map)
-    return (Z, y) + feature_map.normal_equations(batch.X, batch.A, y)
+def _rloss_normal_equations(batch, feature_map):
+    """(y, Z^T Z, Z^T y) of the R-loss route.  Z comes from the fit's one
+    residualized_design call, whose result perfbench's traced pass checks
+    the fit against, and dies on return, before any factorization."""
+    Z, y = residualized_design(batch, feature_map)
+    return y, Z.T @ Z, Z.T @ y
 
 
 def _solve_ridged(gram, zy, ridge):
@@ -206,35 +213,38 @@ def _solve_ridged(gram, zy, ridge):
         gram[np.diag_indices_from(gram)] = diag
 
 
-def _ridge_fit(Z, y, ridge):
-    """Ridge solve on Z's normal equations; Z.T @ Z on one bound array takes
-    numpy's syrk path."""
-    return _solve_ridged(Z.T @ Z, Z.T @ y, ridge)
-
-
 def fit_rloss(samples: Sequence[LoggedSample], feature_map: FeatureMap,
               ridge: float = 0.0) -> LinearModel:
     """Exact minimizer of sum_t (y_t - <theta, z_t>)^2 + ridge ||theta||^2."""
-    Z, y = residualized_design(samples, feature_map)
-    theta, deficient = _ridge_fit(Z, y, ridge)
+    _, gram, zy = _rloss_normal_equations(samples, feature_map)
+    theta, deficient = _solve_ridged(gram, zy, ridge)
     return LinearModel(theta, feature_map, rank_deficient=deficient)
 
 
 def fit_squared_error(samples: Sequence[LoggedSample], feature_map: FeatureMap,
                       ridge: float = 0.0) -> LinearModel:
-    """Ridge least squares of raw reward on phi(x_t, a_t)."""
-    _, _, gram, zy = _chosen_normal_equations(samples, feature_map)
+    """Ridge least squares of raw reward on phi(x_t, a_t).  The fit reads
+    only the per-action normal equations; its one chosen_design call comes
+    after the factorization, for perfbench's traced pass to check the fit
+    against."""
+    batch = _nonempty(samples)
+    gram, zy = feature_map.normal_equations(batch.X, batch.A, batch.r)
     theta, deficient = _solve_ridged(gram, zy, ridge)
+    chosen_design(batch, feature_map)
     return LinearModel(theta, feature_map, rank_deficient=deficient)
 
 
-def auto_lambda(Z: np.ndarray, y: np.ndarray, gram: np.ndarray, zy: np.ndarray,
+def auto_lambda(Z, y: np.ndarray, gram: np.ndarray, zy: np.ndarray,
                 scale: float = 1.0) -> float:
     """Penalty sigma_hat * scale * sqrt(2 log p / n) with sigma_hat the
     residual standard deviation of a lightly ridged preliminary fit on the
-    normal equations gram = Z.T @ Z, zy = Z.T @ y, which keep their bits."""
-    n, p = Z.shape
+    normal equations gram = Z.T @ Z, zy = Z.T @ y, which keep their bits.
+    Z is the design or a zero-argument callable that builds it, called once
+    the pilot is solved, so that no design is alive while gram is factored."""
+    n, p = y.shape[0], gram.shape[0]
     theta, _ = _solve_ridged(gram, zy, 1e-6 * n)
+    if callable(Z):
+        Z = Z()
     sigma = float(np.std(y - Z @ theta))
     return scale * sigma * math.sqrt(2.0 * math.log(p) / n)
 
@@ -292,32 +302,45 @@ def _coordinate_descent(gram, zy, n, lam, penalized):
     return out, converged, sweeps
 
 
-def _lasso_fit(Z, y, gram, zy, feature_map, lam, scale) -> LinearModel:
+def _lasso_fit(design, y, gram, zy, feature_map, lam, scale) -> LinearModel:
     """Lasso fit of y on Z with normal equations gram = Z^T Z, zy = Z^T y;
-    intercept coordinates are never penalized.  Z and y serve only the auto
-    penalty's residual."""
+    intercept coordinates are never penalized.  design() builds Z for the
+    auto penalty's residual alone, and that Z is dropped before coordinate
+    descent."""
     if lam == "auto":
-        lam = auto_lambda(Z, y, gram, zy, scale)
+        lam = auto_lambda(design, y, gram, zy, scale)
     lam = float(lam)
     if lam < 0:
         raise ValueError("lasso penalty must be nonnegative")
-    theta, converged, sweeps = _coordinate_descent(gram, zy, Z.shape[0], lam,
+    theta, converged, sweeps = _coordinate_descent(gram, zy, y.shape[0], lam,
                                                    feature_map.penalized())
     return LinearModel(theta, feature_map, converged=converged, lam=lam, sweeps=sweeps)
 
 
 def fit_rloss_lasso(samples: Sequence[LoggedSample], feature_map: FeatureMap,
                     lam="auto", scale: float = 1.0) -> LinearModel:
-    """L1-penalized R-loss fit (see _lasso_fit)."""
-    Z, y = residualized_design(samples, feature_map)
-    return _lasso_fit(Z, y, Z.T @ Z, Z.T @ y, feature_map, lam, scale)
+    """L1-penalized R-loss fit (see _lasso_fit).  The auto penalty's
+    residual reads a design rebuilt, bit for bit, by the same
+    feature_map.design call as residualized_design's."""
+    batch = _nonempty(samples)
+    design = lambda: feature_map.design(batch.X, batch.A, batch.P)
+    return _lasso_fit(design, *_rloss_normal_equations(batch, feature_map),
+                      feature_map, lam, scale)
 
 
 def fit_squared_error_lasso(samples: Sequence[LoggedSample], feature_map: FeatureMap,
                             lam="auto", scale: float = 1.0) -> LinearModel:
-    """L1-penalized squared-error fit (see _lasso_fit)."""
-    return _lasso_fit(*_chosen_normal_equations(samples, feature_map), feature_map,
-                      lam, scale)
+    """L1-penalized squared-error fit (see _lasso_fit).  Its one
+    chosen_design call builds the auto penalty's residual design, or
+    follows the fit when lam is given."""
+    batch = _nonempty(samples)
+    design = lambda: chosen_design(batch, feature_map)[0]
+    model = _lasso_fit(design, batch.r,
+                       *feature_map.normal_equations(batch.X, batch.A, batch.r),
+                       feature_map, lam, scale)
+    if lam != "auto":
+        design()
+    return model
 
 
 def empirical_rloss(model: LinearModel, samples: Sequence[LoggedSample]) -> float:

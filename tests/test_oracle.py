@@ -6,6 +6,7 @@ double loops, explicit normal equations.  The fast paths must match them.
 
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ import pytest
 from hte_bandit import oracle
 from hte_bandit.core import (
     ActionDistribution,
+    FeatureMap,
     LoggedSample,
+    SampleBatch,
     arm_block_map,
     custom_map,
     rng_stream,
@@ -955,6 +958,111 @@ def test_screened_cd_after_a_pilot_that_falls_back_to_eigh(monkeypatch):
     penalized = np.ones(p, dtype=bool)
     penalized[5] = False
     screened_cd(monkeypatch, Z, y, lam, penalized)
+
+
+# -- design lifetime and the one-design-per-fit contract ----------------------------
+
+# Every fit route, ridge and lasso, with lam="auto" (a ridge pilot is factored)
+# and with a given penalty.
+FIT_CASES = {
+    "rloss": (fit_rloss, {"ridge": 0.1}),
+    "squared_error": (fit_squared_error, {"ridge": 0.1}),
+    "rloss_lasso_auto": (fit_rloss_lasso, {"lam": "auto"}),
+    "rloss_lasso_given": (fit_rloss_lasso, {"lam": 0.01}),
+    "squared_error_lasso_auto": (fit_squared_error_lasso, {"lam": "auto"}),
+    "squared_error_lasso_given": (fit_squared_error_lasso, {"lam": 0.01}),
+}
+RLOSS_FITS = (fit_rloss, fit_rloss_lasso)
+
+
+def mu_batch(n=90, d=5, K=3, seed=31):
+    """A cross-fitted batch of random columns: mu is set, so every route
+    accepts it."""
+    rng = np.random.default_rng(seed)
+    return SampleBatch(rng.standard_normal((n, d)), rng.integers(1, K + 1, n),
+                       rng.dirichlet(np.ones(K), n), rng.standard_normal(n),
+                       0.1 * rng.standard_normal(n))
+
+
+def record_designs(monkeypatch):
+    """Weak references to every array FeatureMap.design returns."""
+    refs = []
+    design = FeatureMap.design
+
+    def spy(self, *args):
+        Z = design(self, *args)
+        refs.append(weakref.ref(Z))
+        return Z
+
+    monkeypatch.setattr(FeatureMap, "design", spy)
+    return refs
+
+
+@pytest.mark.parametrize("kind", sorted(DESIGN_MAPS))
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_no_design_is_alive_while_a_fit_factors_or_descends(monkeypatch, case, kind):
+    """A Gram factorization (_solve_psd) or a coordinate descent never runs
+    beside an n x p design: each one counts the recorded designs still
+    alive when it starts."""
+    fit, kwargs = FIT_CASES[case]
+    refs = record_designs(monkeypatch)
+    seen = []
+    for name in ("_solve_psd", "_coordinate_descent"):
+        def spy(*args, _name=name, _fn=getattr(oracle, name)):
+            seen.append((_name, sum(r() is not None for r in refs)))
+            return _fn(*args)
+        monkeypatch.setattr(oracle, name, spy)
+    fit(mu_batch(), DESIGN_MAPS[kind](5, 3), **kwargs)
+    lasso = "lasso" in case
+    factors = not lasso or case.endswith("auto")
+    assert [name for name, _ in seen] == ["_solve_psd"] * factors + ["_coordinate_descent"] * lasso
+    assert refs and all(alive == 0 for _, alive in seen), seen
+
+
+@pytest.mark.parametrize("case", sorted(FIT_CASES))
+def test_each_fit_builds_one_design_through_the_module(monkeypatch, case):
+    """One call per fit to oracle.residualized_design or oracle.chosen_design,
+    the design perfbench's traced pass checks the fit against, and the auto
+    penalty through oracle.auto_lambda."""
+    fit, kwargs = FIT_CASES[case]
+    calls = []
+    for name in ("residualized_design", "chosen_design", "auto_lambda"):
+        def spy(*args, _name=name, _fn=getattr(oracle, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(oracle, name, spy)
+    fit(mu_batch(), arm_block_map(5, 3), **kwargs)
+    design = "residualized_design" if fit in RLOSS_FITS else "chosen_design"
+    assert sorted(calls) == sorted([design] + ["auto_lambda"] * (kwargs.get("lam") == "auto"))
+
+
+@pytest.mark.parametrize("kind", sorted(DESIGN_MAPS))
+def test_rloss_lasso_rebuilds_its_design_bit_for_bit(monkeypatch, kind):
+    designs = []
+    design = FeatureMap.design
+    monkeypatch.setattr(FeatureMap, "design",
+                        lambda self, *args: designs.append(design(self, *args)) or designs[-1])
+    fit_rloss_lasso(mu_batch(), DESIGN_MAPS[kind](5, 3), lam="auto")
+    assert len(designs) == 2
+    assert_same_bits(designs[0], designs[1])
+
+
+def test_auto_lambda_reads_the_same_bits_from_a_design_or_its_builder(monkeypatch):
+    """The callable is called once, after the pilot's factorization, and
+    gives the penalty the array gives."""
+    rng = rng_stream(29, 0)
+    Z = rng.standard_normal((70, 9))
+    y = rng.standard_normal(70)
+    gram, zy = Z.T @ Z, Z.T @ y
+    events = []
+    solve_psd = oracle._solve_psd
+    monkeypatch.setattr(oracle, "_solve_psd",
+                        lambda *args: events.append("solve") or solve_psd(*args))
+    from_array = auto_lambda(Z, y, gram, zy, scale=1.5)
+    from_builder = auto_lambda(lambda: events.append("build") or Z.copy(), y, gram, zy,
+                               scale=1.5)
+    assert from_builder.hex() == from_array.hex()
+    assert events == ["solve", "solve", "build"]
 
 
 # -- empirical R-loss --------------------------------------------------------------
