@@ -240,12 +240,17 @@ def auto_lambda(Z, y: np.ndarray, gram: np.ndarray, zy: np.ndarray,
     residual standard deviation of a lightly ridged preliminary fit on the
     normal equations gram = Z.T @ Z, zy = Z.T @ y, which keep their bits.
     Z is the design or a zero-argument callable that builds it, called once
-    the pilot is solved, so that no design is alive while gram is factored."""
+    the pilot is solved, so that no design is alive while gram is factored.
+    With n <= p rows the pilot interpolates and its residual is near 0, so
+    sigma_hat is std(y), the null model's residual, and Z is not read."""
     n, p = y.shape[0], gram.shape[0]
-    theta, _ = _solve_ridged(gram, zy, 1e-6 * n)
-    if callable(Z):
-        Z = Z()
-    sigma = float(np.std(y - Z @ theta))
+    if n <= p:
+        sigma = float(np.std(y))
+    else:
+        theta, _ = _solve_ridged(gram, zy, 1e-6 * n)
+        if callable(Z):
+            Z = Z()
+        sigma = float(np.std(y - Z @ theta))
     return scale * sigma * math.sqrt(2.0 * math.log(p) / n)
 
 
@@ -332,13 +337,14 @@ def fit_squared_error_lasso(samples: Sequence[LoggedSample], feature_map: Featur
                             lam="auto", scale: float = 1.0) -> LinearModel:
     """L1-penalized squared-error fit (see _lasso_fit).  Its one
     chosen_design call builds the auto penalty's residual design, or
-    follows the fit when lam is given."""
+    follows the fit when no penalty reads a design."""
     batch = _nonempty(samples)
-    design = lambda: chosen_design(batch, feature_map)[0]
+    built = []
+    design = lambda: built.append(True) or chosen_design(batch, feature_map)[0]
     model = _lasso_fit(design, batch.r,
                        *feature_map.normal_equations(batch.X, batch.A, batch.r),
                        feature_map, lam, scale)
-    if lam != "auto":
+    if not built:
         design()
     return model
 

@@ -27,11 +27,14 @@ from .config import ConfigError, RunConfig
 from .core import STREAM_ACTION, STREAM_CONTEXT, STREAM_NOISE, rng_stream
 from .environments import build_environment
 from .policy import FitRecord
-from .svg import CSV_SLICE_ROWS, Series, write_chart
+from .svg import Series, write_chart
 
 RUN_HEADER = "t,epoch,safe,gamma,action,propensity,reward,expected_regret,cum_expected_regret"
 CURVE_HEADER = "t,mean_cum_regret,std_cum_regret"
 COMPARE_HEADER = "algorithm,final_mean_cum_regret,final_std_cum_regret,ratio_vs_first"
+
+# Rows of a CSV formatted at once: _csv_text holds one slice's cells at a time.
+CSV_SLICE_ROWS = 1 << 15
 
 
 @dataclass

@@ -464,6 +464,22 @@ def test_lasso_auto_penalty_formula():
     assert_same_bits(gram, before)
 
 
+def test_lasso_auto_penalty_with_no_more_rows_than_coefficients(monkeypatch):
+    """With n <= p a ridge pilot interpolates, so sigma_hat is std(y): no
+    pilot is factored and the design is never built."""
+    rng = rng_stream(15, 0)
+    n, p = 6, 9
+    Z = rng.standard_normal((n, p))
+    y = rng.standard_normal(n)
+    events = []
+    monkeypatch.setattr(oracle, "_solve_psd", lambda *args: events.append("solve"))
+    lam = auto_lambda(lambda: events.append("build"), y, Z.T @ Z, Z.T @ y, scale=1.5)
+    assert events == []
+    assert lam == 1.5 * float(np.std(y)) * math.sqrt(2 * math.log(p) / n)
+    assert auto_lambda(Z[:, :n], y, Z[:, :n].T @ Z[:, :n], Z[:, :n].T @ y) == \
+        float(np.std(y)) * math.sqrt(2 * math.log(n) / n)
+
+
 def kkt_report(model, samples, fm):
     """Max subgradient violation of the lasso optimality conditions."""
     Z, y = residualized_design(samples, fm)
@@ -973,6 +989,9 @@ FIT_CASES = {
     "squared_error_lasso_given": (fit_squared_error_lasso, {"lam": 0.01}),
 }
 RLOSS_FITS = (fit_rloss, fit_rloss_lasso)
+# Batch sizes the contract tests fit: more rows than any map's coefficients,
+# and fewer than every map's (the auto penalty then factors no pilot).
+BATCH_ROWS = (90, 6)
 
 
 def mu_batch(n=90, d=5, K=3, seed=31):
@@ -1012,11 +1031,16 @@ def test_no_design_is_alive_while_a_fit_factors_or_descends(monkeypatch, case, k
             seen.append((_name, sum(r() is not None for r in refs)))
             return _fn(*args)
         monkeypatch.setattr(oracle, name, spy)
-    fit(mu_batch(), DESIGN_MAPS[kind](5, 3), **kwargs)
-    lasso = "lasso" in case
-    factors = not lasso or case.endswith("auto")
-    assert [name for name, _ in seen] == ["_solve_psd"] * factors + ["_coordinate_descent"] * lasso
-    assert refs and all(alive == 0 for _, alive in seen), seen
+    fmap = DESIGN_MAPS[kind](5, 3)
+    for n in BATCH_ROWS:
+        seen.clear()
+        fit(mu_batch(n), fmap, **kwargs)
+        lasso = "lasso" in case
+        # the auto penalty factors a pilot only when n > p
+        factors = not lasso or (case.endswith("auto") and n > fmap.feature_dim)
+        assert [name for name, _ in seen] == (["_solve_psd"] * factors
+                                              + ["_coordinate_descent"] * lasso)
+        assert refs and all(alive == 0 for _, alive in seen), seen
 
 
 @pytest.mark.parametrize("case", sorted(FIT_CASES))
@@ -1031,9 +1055,11 @@ def test_each_fit_builds_one_design_through_the_module(monkeypatch, case):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(oracle, name, spy)
-    fit(mu_batch(), arm_block_map(5, 3), **kwargs)
     design = "residualized_design" if fit in RLOSS_FITS else "chosen_design"
-    assert sorted(calls) == sorted([design] + ["auto_lambda"] * (kwargs.get("lam") == "auto"))
+    for n in BATCH_ROWS:
+        calls.clear()
+        fit(mu_batch(n), arm_block_map(5, 3), **kwargs)
+        assert sorted(calls) == sorted([design] + ["auto_lambda"] * (kwargs.get("lam") == "auto"))
 
 
 @pytest.mark.parametrize("kind", sorted(DESIGN_MAPS))

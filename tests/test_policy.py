@@ -570,6 +570,16 @@ def test_fit_records_copy_the_deployed_model_fields(algorithm):
             assert model.lam > 0.0 and model.converged and model.sweeps >= 1
 
 
+@pytest.mark.parametrize("algorithm", ["mod_igw", "mod_hte_igw"])
+def test_default_config_lasso_fits_all_converge(algorithm):
+    """The default schedule doubles from base 1, so the first epochs have
+    fewer rows than coefficients (p = 41 or 42); their auto penalty still
+    lets coordinate descent converge."""
+    res = run_single(RunConfig(algorithm=algorithm).validate(), seed=1)
+    assert min(f.n for f in res.fits) < res.fits[0].model.theta.size
+    assert [f.model.converged for f in res.fits] == [True] * len(res.fits)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 1e308])
 def test_a_fit_whose_scores_could_overflow_is_not_deployed(monkeypatch, bad):
     """A refit whose theta has a NaN, or a 1-norm that doubled overflows, is

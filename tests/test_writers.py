@@ -1,16 +1,16 @@
 """CSV and SVG writers against per-value reference formatters.
 
 The CSV writer formats one cell per run of consecutive equal values in a
-column slice (runs found on the values' bits) and repeats it over the run.
-The SVG writer prints a coordinate from two string tables wherever that is
-provably what "{:.2f}" prints, and through "{:.2f}" elsewhere.  Both work
-CSV_SLICE_ROWS values at a time.  Each reference below formats one value at
-a time, the way the writers once did, and the two must agree byte for byte
-on awkward floats, large ints, signed zeros, NaN payloads, ties and runs that
-cross a slice.
+column slice (runs found on the values' bits), repeats it over the run, and
+works CSV_SLICE_ROWS rows at a time.  The SVG writer keeps, on each edge,
+the first, last, lowest and highest point of every pixel column (M4) and
+prints each with "{:.2f}".  Each reference below picks and formats one value
+at a time, and the two must agree byte for byte on awkward floats, large
+ints, signed zeros, NaN payloads, ties and runs that cross a slice.
 """
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -135,31 +135,25 @@ def test_csv_runs_split_on_bits_not_equality(tmp_path):
                      reference_curve_csv(curve))
 
 
-# Signed zeros, the smallest subnormal, negatives, non-finite values, 999
-# and above, and values next to a tie of the last printed digit.
-FIXED2_EDGES = [-0.0, 0.0, 5e-324, -5e-324, -0.004, -0.005, -0.006, -1.0, -123.456,
-                math.nan, -math.nan, math.inf, -math.inf, 998.99, 998.994999,
-                998.995, 998.9950001, np.nextafter(999.0, 0.0), 999.0, 999.004,
-                999.005, 999.994, 999.995, 999.996, 999.999, 1000.0, 1234.565, 1e300,
-                0.125, 0.375, 2.675, 1.005]
-
-
-def test_fixed2_matches_format_on_every_hundredth_and_half():
-    v = np.arange(200_000) / 200.0
-    assert v[-1] < 1000.0 and v[1] == 0.005
-    near = np.concatenate([np.nextafter(v, -np.inf), np.nextafter(v, np.inf)])
-    for arr in (v, near, np.array(FIXED2_EDGES)):
-        assert svg._fixed2(arr).tolist() == list(map("{:.2f}".format, arr.tolist()))
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.lists(st.floats(-10.0, 1100.0), min_size=1, max_size=50))
-def test_fixed2_matches_format_property(values):
-    assert svg._fixed2(np.array(values)).tolist() == list(map("{:.2f}".format, values))
+def reference_m4(cols, ys):
+    """Indices of the first, last, lowest and highest point of each run of
+    equal columns, ascending; ties go to the first lowest and the last
+    highest index."""
+    keep, i = set(), 0
+    while i < len(cols):
+        j = i
+        while j < len(cols) and cols[j] == cols[i]:
+            j += 1
+        run = range(i, j)
+        keep |= {i, j - 1, min(run, key=ys.__getitem__),
+                 max(reversed(run), key=ys.__getitem__)}
+        i = j
+    return sorted(keep)
 
 
 def reference_line_chart(series, title="", x_label="", y_label="") -> str:
-    """The chart with every point mapped and formatted one at a time."""
+    """The chart with every point mapped, picked per pixel column and
+    formatted one at a time."""
     xs = [s for s in series if s.x.size > 0]
     if xs:
         x_lo = min(float(s.x.min()) for s in xs)
@@ -220,16 +214,19 @@ def reference_line_chart(series, title="", x_label="", y_label="") -> str:
         out.append(f'<text x="16" y="{cy:.1f}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="12" '
                    f'transform="rotate(-90 16 {cy:.1f})">{y_label}</text>')
+
+    def edge(s, ys):
+        cols = [min(math.floor(px(x) - MARGIN_L), pw - 1) for x in s.x]
+        return [f"{px(s.x[i]):.2f},{py(ys[i]):.2f}" for i in reference_m4(cols, ys)]
+
     for i, s in enumerate(xs):
         color = PALETTE[i % len(PALETTE)]
         if s.band is not None and np.any(s.band > 0):
-            upper = [f"{px(x):.2f},{py(m + b):.2f}"
-                     for x, m, b in zip(s.x, s.mean, s.band)]
-            lower = [f"{px(x):.2f},{py(m - b):.2f}"
-                     for x, m, b in zip(s.x[::-1], s.mean[::-1], s.band[::-1])]
+            upper = edge(s, [m + b for m, b in zip(s.mean, s.band)])
+            lower = edge(s, [m - b for m, b in zip(s.mean, s.band)])[::-1]
             out.append(f'<polygon points="{" ".join(upper + lower)}" '
                        f'fill="{color}" fill-opacity="0.15" stroke="none"/>')
-        pts = " ".join(f"{px(x):.2f},{py(m):.2f}" for x, m in zip(s.x, s.mean))
+        pts = " ".join(edge(s, list(s.mean)))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.6"/>')
     for i, s in enumerate(xs):
@@ -254,6 +251,11 @@ def chart_cases():
                       Series("b", t, -walk[1], None)],
         "banded": [Series(f"s{i}", t, walk[i] * (i + 1), 0.1 * walk[i] + 1e-9 * i)
                    for i in range(3)] + [Series("empty", [], [], [])],
+        # Plateaus of equal values, signed zeros among them, many per column.
+        "ties": [Series("steps", np.arange(1, 5001, dtype=float),
+                        np.repeat(rng.integers(0, 3, 500), 10)
+                        * np.where(np.arange(5000) % 3, 0.5, -0.0),
+                        np.repeat([0.25, 0.0, 0.5, 0.25], 1250))],
         "past a slice": [Series("long", np.arange(1, n + 1, dtype=float),
                                 np.cumsum(rng.uniform(0.0, 1.0, n)),
                                 np.sqrt(np.arange(n, dtype=float))),
@@ -261,7 +263,7 @@ def chart_cases():
     }
 
 
-@pytest.mark.parametrize("case", ["one point", "zero band", "banded", "past a slice"])
+@pytest.mark.parametrize("case", ["one point", "zero band", "banded", "ties", "past a slice"])
 def test_line_chart_matches_per_point_formatting(tmp_path, case):
     series = chart_cases()[case]
     got = line_chart(series, title="t", x_label="round", y_label="regret")
@@ -269,3 +271,43 @@ def test_line_chart_matches_per_point_formatting(tmp_path, case):
     assert ("<polygon" in got) == (case != "zero band")
     svg.write_chart(tmp_path / "c.svg", series, "t", "round", "regret")
     assert Path(tmp_path / "c.svg").read_text(encoding="utf-8") == got
+
+
+CURVES = {
+    "walk": np.cumsum,
+    "monotone": lambda steps: np.cumsum(np.abs(steps)),
+    "constant": lambda steps: np.full(steps.size, steps[0]),
+    "ties": np.round,  # a few distinct values, -0.0 beside 0.0
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=300),
+       st.sampled_from(sorted(CURVES)), st.integers(1, 40))
+def test_m4_keeps_each_columns_first_last_min_and_max_in_order(steps, kind, columns):
+    y = CURVES[kind](np.array(steps))
+    col = np.floor(np.arange(y.size) * columns / y.size)
+    keep = svg._m4(col, y)
+    # original points, in the original order, each once
+    assert keep.dtype.kind == "i" and np.all(np.diff(keep) > 0)
+    assert 0 <= keep[0] and keep[-1] < y.size
+    for c in np.unique(col):
+        run = np.flatnonzero(col == c)
+        kept = keep[(keep >= run[0]) & (keep <= run[-1])]
+        assert {run[0], run[-1]} <= set(kept.tolist()) and kept.size <= 4
+        assert y[kept].min() == y[run].min() and y[kept].max() == y[run].max()
+
+
+def test_a_long_chart_keeps_at_most_four_points_per_pixel_column_per_edge():
+    """T = 10^6: a non-decreasing mean keeps its first and last point in each
+    of the 640 columns, and each noisy band edge at most four."""
+    T = 10 ** 6
+    rng = np.random.default_rng(11)
+    t = np.arange(1, T + 1, dtype=float)
+    got = line_chart([Series("long", t, np.cumsum(rng.uniform(0.0, 1.0, T)),
+                             np.sqrt(t) * rng.uniform(0.5, 1.5, T))])
+    pw = WIDTH - MARGIN_L - MARGIN_R
+    line = re.search('<polyline points="([^"]*)"', got).group(1).split(" ")
+    polygon = re.search('<polygon points="([^"]*)"', got).group(1).split(" ")
+    assert len(line) == 2 * pw
+    assert 2 * pw <= len(polygon) <= 2 * 4 * pw
