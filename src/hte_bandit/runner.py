@@ -4,10 +4,11 @@ Per seed, the environment draws (contexts, noise, ground truth) come from
 streams that never see policy randomness, so every algorithm replays the
 identical reward landscape and comparisons are paired.  Every (config,
 seed) job of one command shares one process pool, or runs in this process
-on one worker.  The process that simulates a run also formats its
-run_*.csv text; every file is written from the coordinating process in seed
-order, each config's as soon as its seeds are in, which keeps repeated
-invocations byte-identical regardless of the worker count (capped by
+on one worker.  A writing job streams its own run_*.csv under a .part name
+and sends back only its cumulative-regret column; the coordinating process
+renames a config's files into place in seed order once its seeds are in
+and writes the curve and SVG, which keeps repeated invocations
+byte-identical regardless of the worker count (capped by
 HTE_BANDIT_THREADS).
 """
 
@@ -33,7 +34,7 @@ RUN_HEADER = "t,epoch,safe,gamma,action,propensity,reward,expected_regret,cum_ex
 CURVE_HEADER = "t,mean_cum_regret,std_cum_regret"
 COMPARE_HEADER = "algorithm,final_mean_cum_regret,final_std_cum_regret,ratio_vs_first"
 
-# Rows of a CSV formatted at once: _csv_text holds one slice's cells at a time.
+# Rows of a CSV formatted at once: _write_csv holds one slice's cells at a time.
 CSV_SLICE_ROWS = 1 << 15
 
 
@@ -144,12 +145,13 @@ def _play_block(env, policy, rngs, t0: int, n: int, res: RunResult) -> None:
         i += k
 
 
-def aggregate_curve(results: Sequence[RunResult]) -> RegretCurve:
-    if not results or results[0].t.size == 0:
+def aggregate_curve(t: np.ndarray, regrets: Sequence[np.ndarray]) -> RegretCurve:
+    """Mean and std over seeds of the cum_expected_regret columns, at rounds t."""
+    if not regrets or t.size == 0:
         empty = np.array([])
         return RegretCurve(empty, empty, empty)
-    per_seed = np.stack([r.cum_expected_regret for r in results])
-    return RegretCurve(results[0].t, per_seed.mean(axis=0), per_seed.std(axis=0))
+    per_seed = np.stack(regrets)
+    return RegretCurve(t, per_seed.mean(axis=0), per_seed.std(axis=0))
 
 
 def _worker_count(jobs: int) -> int:
@@ -180,47 +182,54 @@ def _cells(c: np.ndarray) -> list:
     return cells[np.cumsum(start) - 1].tolist()
 
 
-def _csv_text(header: str, cols) -> str:
-    """One CSV line per row of cols, each column formatted by _cells.  Rows
-    are formatted and joined CSV_SLICE_ROWS at a time, so only one slice's
-    cells are held at once."""
+def _write_csv(path, header: str, cols) -> None:
+    """Write one CSV line per row of cols, each column formatted by _cells.
+    Rows are formatted and written CSV_SLICE_ROWS at a time, so only one
+    slice's cells and text are held at once."""
     cols = [np.asarray(c) for c in cols]
-    parts = [header]
-    for lo in range(0, len(cols[0]), CSV_SLICE_ROWS):
-        cells = (_cells(c[lo:lo + CSV_SLICE_ROWS]) for c in cols)
-        parts.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join(parts) + "\n"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        for lo in range(0, len(cols[0]), CSV_SLICE_ROWS):
+            cells = (_cells(c[lo:lo + CSV_SLICE_ROWS]) for c in cols)
+            f.write("\n".join(map(",".join, zip(*cells))))
+            f.write("\n")
 
 
-def run_csv_text(result: RunResult) -> str:
-    return _csv_text(RUN_HEADER, [getattr(result, c) for c in RUN_HEADER.split(",")])
-
-
-def write_run_csv(path, text: str) -> None:
-    """Write run_csv_text's text of one run."""
-    Path(path).write_text(text, encoding="utf-8")
+def write_run_csv(path, result: RunResult) -> None:
+    _write_csv(path, RUN_HEADER, [getattr(result, c) for c in RUN_HEADER.split(",")])
 
 
 def write_curve_csv(path, curve: RegretCurve) -> None:
-    Path(path).write_text(_csv_text(CURVE_HEADER, (curve.t, curve.mean, curve.std)),
-                          encoding="utf-8")
+    _write_csv(path, CURVE_HEADER, (curve.t, curve.mean, curve.std))
+
+
+def _part(config: RunConfig, seed: int) -> Path:
+    return Path(config.output_dir) / f"run_{seed}.csv.part"
 
 
 def _job(config: RunConfig, seed: int, write: bool):
-    """One (config, seed) job: its run and, if write, its run_*.csv text,
-    formatted in the process that simulated it.  run_single and run_csv_text
-    are looked up at call time, so a patched one sees every job."""
+    """One (config, seed) job.  Without write it returns the run; with write
+    it streams the run's run_*.csv to its .part file in the process that
+    simulated it and returns only the cum_expected_regret column.
+    run_single and write_run_csv are looked up at call time, so a patched
+    one sees every job."""
     result = run_single(config, seed)
-    return result, run_csv_text(result) if write else None
+    if not write:
+        return result
+    write_run_csv(_part(config, seed), result)
+    return result.cum_expected_regret
 
 
 def _experiments(configs: Sequence[RunConfig],
                  write: bool) -> List[ExperimentResult]:
     """Every (config, seed) job on one pool, config-major and in seed order.
-    Each config is aggregated and, if write, its CSVs and SVG emitted as soon
-    as its seeds are in, while later configs still run; so a run that raises
-    leaves the files of every config finished before it.  Each run_*.csv
-    text comes formatted from the job; only this process writes files.
+    Each config is aggregated as soon as its seeds are in, while later
+    configs still run.  With write, it then renames its run_*.csv.part
+    files into place in seed order and writes its curve.csv and curve.svg,
+    and its ExperimentResult holds no RunResult (results == []).  If
+    anything raises, every .part file of this call is removed once the pool
+    has shut down (its pending jobs run until then), so the disk holds
+    exactly the files of every config finished before the failure.
 
     The worker count and the output directories come first: a bad
     HTE_BANDIT_THREADS or a directory that cannot be created is a
@@ -235,23 +244,30 @@ def _experiments(configs: Sequence[RunConfig],
         except OSError as e:
             raise ConfigError(f"cannot create output directory {d}: {e}") from e
     experiments = []
-    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-          else contextlib.nullcontext()) as pool:
-        jobs = (pool.map if pool else map)(_job, cfgs, seeds, itertools.repeat(write))
-        for config in configs:
-            done = [next(jobs) for _ in config.seeds]
-            results = [r for r, _ in done]
-            curve = aggregate_curve(results)
-            if write:
+    try:
+        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+              else contextlib.nullcontext()) as pool:
+            jobs = (pool.map if pool else map)(_job, cfgs, seeds, itertools.repeat(write))
+            for config in configs:
+                done = [next(jobs) for _ in config.seeds]
+                if not write:
+                    curve = aggregate_curve(done[0].t, [r.cum_expected_regret for r in done])
+                    experiments.append(ExperimentResult(config, done, curve))
+                    continue
+                curve = aggregate_curve(np.arange(1, config.horizon + 1), done)
                 out = Path(config.output_dir)
-                for r, text in done:
-                    write_run_csv(out / f"run_{r.seed}.csv", text)
+                for s in config.seeds:
+                    _part(config, s).replace(out / f"run_{s}.csv")
                 write_curve_csv(out / "curve.csv", curve)
                 series = [Series(config.algorithm, curve.t, curve.mean, curve.std)]
                 write_chart(out / "curve.svg", series,
                             title=f"{config.scenario}: cumulative expected regret",
                             x_label="round", y_label="cumulative regret")
-            experiments.append(ExperimentResult(config, results, curve))
+                experiments.append(ExperimentResult(config, [], curve))
+    except BaseException:
+        for c, s in zip(cfgs, seeds) if write else ():
+            _part(c, s).unlink(missing_ok=True)
+        raise
     return experiments
 
 
@@ -276,8 +292,7 @@ def compare(config: RunConfig, algorithms: Sequence[str]) -> Dict[str, Experimen
     mean = np.array([results[a].curve.final_mean() for a in algorithms])
     std = np.array([results[a].curve.final_std() for a in algorithms])
     ratio = mean / mean[0] if mean[0] != 0 else np.full(mean.size, np.nan)
-    (out / "compare.csv").write_text(
-        _csv_text(COMPARE_HEADER, (algorithms, mean, std, ratio)), encoding="utf-8")
+    _write_csv(out / "compare.csv", COMPARE_HEADER, (algorithms, mean, std, ratio))
     series = [Series(a, results[a].curve.t, results[a].curve.mean,
                      results[a].curve.std) for a in algorithms]
     write_chart(out / "compare.svg", series,

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from dataclasses import fields, replace
 from pathlib import Path
@@ -451,21 +452,25 @@ def test_compare_runs_on_one_pool_with_the_same_bytes(tmp_path, monkeypatch):
 
 
 def test_compare_writes_each_algorithm_once_its_seeds_are_in(tmp_path, monkeypatch):
-    """On one worker, the first algorithm's run_*.csv are written before the
-    second algorithm's first run starts."""
+    """On one worker, each run streams its run_<seed>.csv.part as it ends,
+    and the first algorithm's run_*.csv are in place before the second
+    algorithm's first run starts."""
     from hte_bandit import runner
 
     events = []
     real_run, real_write = runner.run_single, runner.write_run_csv
 
+    def placed():
+        return tuple(sorted(str(p.relative_to(tmp_path))
+                            for p in tmp_path.rglob("run_*.csv")))
+
     def run_spy(config, seed):
-        events.append(("run", config.algorithm, seed))
+        events.append(("run", config.algorithm, seed, placed()))
         return real_run(config, seed)
 
-    def write_spy(path, text):
-        events.append(("write", Path(path).parent.name,
-                       int(Path(path).stem.removeprefix("run_"))))
-        real_write(path, text)
+    def write_spy(path, result):
+        events.append(("write", Path(path).parent.name, Path(path).name))
+        real_write(path, result)
 
     monkeypatch.setattr(runner, "run_single", run_spy)
     monkeypatch.setattr(runner, "write_run_csv", write_spy)
@@ -474,34 +479,112 @@ def test_compare_writes_each_algorithm_once_its_seeds_are_in(tmp_path, monkeypat
                      "--set", "env.horizon=100", "--set", "env.d=3",
                      "--set", "run.seeds=1,2",
                      "--set", f"run.output_dir={tmp_path}"]) == 0
-    assert events == [("run", "hte_igw", 1), ("run", "hte_igw", 2),
-                      ("write", "hte_igw", 1), ("write", "hte_igw", 2),
-                      ("run", "uniform", 1), ("run", "uniform", 2),
-                      ("write", "uniform", 1), ("write", "uniform", 2)]
+    first = ("hte_igw/run_1.csv", "hte_igw/run_2.csv")
+    assert events == [("run", "hte_igw", 1, ()), ("write", "hte_igw", "run_1.csv.part"),
+                      ("run", "hte_igw", 2, ()), ("write", "hte_igw", "run_2.csv.part"),
+                      ("run", "uniform", 1, first), ("write", "uniform", "run_1.csv.part"),
+                      ("run", "uniform", 2, first), ("write", "uniform", "run_2.csv.part")]
+    assert placed() == first + ("uniform/run_1.csv", "uniform/run_2.csv")
+    assert not list(tmp_path.rglob("*.part"))
 
 
 def test_compare_formats_each_run_csv_in_a_worker(tmp_path, monkeypatch):
-    """On two workers every run_*.csv is formatted by the worker that
-    simulated its run, and none by the coordinating process."""
+    """On two workers every run_*.csv is formatted and written by the
+    worker that simulated its run, and none by the coordinating process."""
     from hte_bandit import runner
 
     log = tmp_path / "pids.txt"
-    real_text = runner.run_csv_text
+    real_run, real_write = runner.run_single, runner.write_run_csv
 
-    def text_spy(result):
+    def note(line):
         with open(log, "a", encoding="utf-8") as f:
-            f.write(f"{os.getpid()}\n")
-        return real_text(result)
+            f.write(f"{os.getpid()} {line}\n")
 
-    monkeypatch.setattr(runner, "run_csv_text", text_spy)
+    def run_spy(config, seed):
+        note(f"run {config.algorithm}/run_{seed}.csv.part")
+        return real_run(config, seed)
+
+    def write_spy(path, result):
+        note(f"write {Path(path).parent.name}/{Path(path).name}")
+        real_write(path, result)
+
+    monkeypatch.setattr(runner, "run_single", run_spy)
+    monkeypatch.setattr(runner, "write_run_csv", write_spy)
     monkeypatch.setenv("HTE_BANDIT_THREADS", "2")
+    out = tmp_path / "out"
     assert cli.main(["compare", "--algos", "hte_igw,uniform",
                      "--set", "env.horizon=100", "--set", "env.d=3",
-                     "--set", "run.seeds=1",
-                     "--set", f"run.output_dir={tmp_path / 'out'}"]) == 0
-    pids = log.read_text(encoding="utf-8").split()
-    assert len(pids) == 2 and str(os.getpid()) not in pids
-    assert len(list((tmp_path / "out").rglob("run_*.csv"))) == 2
+                     "--set", "run.seeds=1,2",
+                     "--set", f"run.output_dir={out}"]) == 0
+    notes = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    ran = {name: pid for pid, kind, name in notes if kind == "run"}
+    wrote = {name: pid for pid, kind, name in notes if kind == "write"}
+    assert len(notes) == 8 and ran == wrote and len(ran) == 4
+    assert str(os.getpid()) not in ran.values()
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("run_*.csv")) == [
+        "hte_igw/run_1.csv", "hte_igw/run_2.csv", "uniform/run_1.csv", "uniform/run_2.csv"]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_failed_compare_keeps_finished_algorithms_and_no_part_file(
+        tmp_path, monkeypatch, threads):
+    """A run that raises in the second algorithm leaves the first
+    algorithm's files complete, nothing of the second, and no .part file:
+    neither the one its earlier run wrote, nor the one a later run writes
+    on two workers while the pool shuts down after the failure."""
+    from hte_bandit import runner
+
+    real_run = runner.run_single
+
+    def run_spy(config, seed):
+        if config.algorithm == "uniform":
+            if seed == 2:
+                raise RuntimeError("run failed")
+            if seed == 3:
+                time.sleep(0.3)
+        return real_run(config, seed)
+
+    monkeypatch.setattr(runner, "run_single", run_spy)
+    monkeypatch.setenv("HTE_BANDIT_THREADS", threads)
+    cfg = RunConfig(horizon=100, d=3, seeds=(1, 2, 3), output_dir=str(tmp_path / "out"))
+    with pytest.raises(RuntimeError, match="run failed"):
+        runner.compare(cfg, ["hte_igw", "uniform"])
+    out = tmp_path / "out"
+    assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == [
+        "hte_igw/curve.csv", "hte_igw/curve.svg", "hte_igw/run_1.csv",
+        "hte_igw/run_2.csv", "hte_igw/run_3.csv"]
+    monkeypatch.setattr(runner, "run_single", real_run)
+    ref = tmp_path / "ref"
+    run_experiment(replace(cfg, algorithm="hte_igw", output_dir=str(ref)))
+    for name in ("curve.csv", "curve.svg", "run_1.csv", "run_2.csv", "run_3.csv"):
+        assert filecmp.cmp(out / "hte_igw" / name, ref / name, shallow=False), name
+
+
+def test_a_writing_job_returns_only_its_regret_column(tmp_path):
+    """_job with write streams run_<seed>.csv.part and sends back one float
+    column of length T, the run's cum_expected_regret."""
+    from hte_bandit import runner
+
+    cfg = RunConfig(horizon=100, d=3, seeds=(3,), output_dir=str(tmp_path)).validate()
+    got = runner._job(cfg, 3, True)
+    want = runner.run_single(cfg, 3)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (100,)
+    assert np.array_equal(got, want.cum_expected_regret)
+    runner.write_run_csv(tmp_path / "ref.csv", want)
+    assert filecmp.cmp(tmp_path / "run_3.csv.part", tmp_path / "ref.csv", shallow=False)
+    assert isinstance(runner._job(cfg, 3, False), runner.RunResult)
+
+
+def test_a_writing_run_experiment_returns_no_run_results(tmp_path):
+    cfg = RunConfig(horizon=100, d=3, seeds=(1, 2), output_dir=str(tmp_path)).validate()
+    written = run_experiment(cfg)
+    kept = run_experiment(cfg, write=False)
+    assert written.results == [] and len(kept.results) == 2
+    for a, b in zip((written.curve.t, written.curve.mean, written.curve.std),
+                    (kept.curve.t, kept.curve.mean, kept.curve.std)):
+        assert np.array_equal(a, b)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "curve.csv", "curve.svg", "run_1.csv", "run_2.csv"]
 
 
 def test_uniform_regret_slope_matches_oracle(tmp_path):

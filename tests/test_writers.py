@@ -2,7 +2,8 @@
 
 The CSV writer formats one cell per run of consecutive equal values in a
 column slice (runs found on the values' bits), repeats it over the run, and
-works CSV_SLICE_ROWS rows at a time.  The SVG writer keeps, on each edge,
+formats and writes CSV_SLICE_ROWS rows at a time; the tests read back the
+files that write_run_csv and write_curve_csv write.  The SVG writer keeps, on each edge,
 the first, last, lowest and highest point of every pixel column (M4) and
 prints each with "{:.2f}".  Each reference below picks and formats one value
 at a time, and the two must agree byte for byte on awkward floats, large
@@ -20,8 +21,8 @@ from hypothesis import strategies as st
 
 from hte_bandit import svg
 from hte_bandit.runner import (CSV_SLICE_ROWS, CURVE_HEADER, RUN_HEADER,
-                               RegretCurve, RunResult, run_csv_text,
-                               write_curve_csv, write_run_csv)
+                               RegretCurve, RunResult, write_curve_csv,
+                               write_run_csv)
 from hte_bandit.svg import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, PALETTE,
                             WIDTH, Series, line_chart)
 
@@ -82,7 +83,7 @@ def awkward_result(T: int) -> RunResult:
 @pytest.mark.parametrize("T", [0, 1, 7])
 def test_csv_writers_match_per_value_formatting(tmp_path, T):
     res = awkward_result(T)
-    write_run_csv(tmp_path / "run.csv", run_csv_text(res))
+    write_run_csv(tmp_path / "run.csv", res)
     assert (tmp_path / "run.csv").read_bytes() == reference_run_csv(res).encode()
     curve = RegretCurve(res.t, res.gamma, res.reward)
     write_curve_csv(tmp_path / "curve.csv", curve)
@@ -95,7 +96,9 @@ def test_csv_writers_match_per_value_formatting(tmp_path, T):
 def test_csv_writers_match_per_value_formatting_across_a_slice(tmp_path):
     """Three rows past the first slice of rows the writers format at once."""
     res = awkward_result(CSV_SLICE_ROWS + 3)
-    assert_same_text(run_csv_text(res), reference_run_csv(res))
+    write_run_csv(tmp_path / "run.csv", res)
+    assert_same_text((tmp_path / "run.csv").read_bytes().decode(),
+                     reference_run_csv(res))
     curve = RegretCurve(res.t, res.gamma, res.reward)
     write_curve_csv(tmp_path / "curve.csv", curve)
     assert_same_text((tmp_path / "curve.csv").read_bytes().decode(),
@@ -125,7 +128,8 @@ def test_csv_runs_split_on_bits_not_equality(tmp_path):
                     propensity=np.resize(specials, T), reward=-run,
                     expected_regret=np.resize([0.0, -0.0], T),
                     cum_expected_regret=np.cumsum(run))
-    text = run_csv_text(res)
+    write_run_csv(tmp_path / "run.csv", res)
+    text = (tmp_path / "run.csv").read_bytes().decode()
     assert_same_text(text, reference_run_csv(res))
     gammas = [line.split(",")[3] for line in text.splitlines()[1:4]]
     assert gammas == ["0.0", "-0.0", "-0.0"]
