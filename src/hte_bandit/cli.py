@@ -1,18 +1,22 @@
 """Command-line interface: run / compare / validate.
 
-Exit codes: 0 success, 1 validation check failure, 2 configuration error.
+Exit codes: 0 success, 1 validation check failure, 2 configuration error,
+143 when stopped by SIGTERM during run or compare.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import signal
 import sys
+import threading
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .core import STREAM_VALIDATION, rng_stream
+from .core import STREAM_VALIDATION, rng_stream, row_max, row_min
 from .policy import igw_kernel
 from .runner import compare, implicit_regret_sweep, run_experiment
 from .validation import (BOUND_TOL, IDENTITY_TOL, excess_risk_identity_gap,
@@ -67,7 +71,7 @@ def kernel_check(seed: int = 2, draws: int = 100_000) -> Check:
     and the per-action floor 1/(K + gamma * max_gap).  Each chunk of draws
     is checked per K as one (n, K) block, with one gamma per row: its rows
     are selected once, and the row maxima and minima of scores and kernel
-    are taken column by column (exact, so equal to the row reductions)."""
+    are core.row_max and row_min."""
     rng = rng_stream(seed, STREAM_VALIDATION)
     ok = True
     chunk = 10_000   # draws held at once; draw i scores with row i's first K
@@ -82,24 +86,12 @@ def kernel_check(seed: int = 2, draws: int = 100_000) -> Check:
             gamma = np.exp(exponents[rows])
             p = igw_kernel(scores, gamma)
             lead = p[np.arange(len(rows)), scores.argmax(axis=1)]
-            s_max, s_min = _column_extremes(scores)
-            p_max, p_min = _column_extremes(p)
-            floor = 1.0 / (K + gamma * (s_max - s_min))
+            floor = 1.0 / (K + gamma * (row_max(scores) - row_min(scores)))
             ok = ok and bool(np.all((np.abs(p.sum(axis=1) - 1.0) <= 1e-12)
                                     & (lead >= 1.0 / K - 1e-15)
-                                    & (lead == p_max)
-                                    & (p_min >= floor - 1e-15)))
+                                    & (lead == row_max(p))
+                                    & (row_min(p) >= floor - 1e-15)))
     return ("kernel validity sweep", ok, f"{draws} random (scores, gamma) draws")
-
-
-def _column_extremes(block: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row maxima and minima of an (n, K) block, folded one column at a time,
-    which for small K is much cheaper than numpy's per-row reductions."""
-    cols = block.T
-    hi = lo = cols[0]
-    for col in cols[1:]:
-        hi, lo = np.maximum(hi, col), np.minimum(lo, col)
-    return hi, lo
 
 
 def implicit_regret_check(seed: int = 3, tol: float = 1e-12) -> Check:
@@ -153,6 +145,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _exit_on_sigterm(signum, frame):
+    # Later SIGTERMs are ignored, so that they cannot cut the cleanup short.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def _sigterm_as_exit():
+    """SIGTERM raises SystemExit(143) in the main thread while the block
+    runs, so that the runner's cleanup on exceptions runs: pending jobs are
+    cancelled and no .part file is left.  Off the main thread, where no
+    handler can be set, SIGTERM keeps its disposition."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -166,13 +180,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0 if failed == 0 else 1
         cfg = load_config(args.config, args.overrides)
         if args.command == "run":
-            final = run_experiment(cfg).curve.final_mean()
+            with _sigterm_as_exit():
+                final = run_experiment(cfg).curve.final_mean()
             print(f"{cfg.algorithm} on {cfg.scenario}: "
                   f"final mean cumulative regret {final:.3f} "
                   f"({len(cfg.seeds)} seeds, T={cfg.horizon})")
         else:
             algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-            results = compare(cfg, algos)
+            with _sigterm_as_exit():
+                results = compare(cfg, algos)
             base = results[algos[0]].curve.final_mean()
             for a in algos:
                 final = results[a].curve.final_mean()

@@ -82,10 +82,38 @@ def inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     Row i gets the first action whose running sum of probs[i] exceeds u[i];
     a u at or above the last running sum (which may round to 1 - eps) gets
-    action K.  Returns actions in 1..K.
+    action K.  Returns actions in 1..K.  The running sums are kept column
+    by column, np.cumsum's order, and the first crossing is the last one
+    written on a pass from column K - 1 back to column 1.
     """
-    above = np.cumsum(probs, axis=1) > u[:, None]
-    return np.where(above.any(axis=1), above.argmax(axis=1) + 1, probs.shape[1])
+    cols = probs.T
+    running = [cols[0]]
+    for col in cols[1:-1]:
+        running.append(running[-1] + col)
+    actions = np.full(probs.shape[0], probs.shape[1])
+    for k in range(len(running) - 1, -1, -1):
+        np.copyto(actions, k + 1, where=running[k] > u)
+    return actions
+
+
+def _fold_columns(ufunc, block: np.ndarray) -> np.ndarray:
+    cols = block.T
+    out = cols[0]
+    for col in cols[1:]:
+        out = ufunc(out, col)
+    return out
+
+
+def row_max(block: np.ndarray) -> np.ndarray:
+    """Row maxima of an (n, K) block, folded one column at a time: exact, so
+    equal to block.max(axis=1), and for few columns much cheaper than
+    numpy's per-row reduction."""
+    return _fold_columns(np.maximum, block)
+
+
+def row_min(block: np.ndarray) -> np.ndarray:
+    """Row minima of an (n, K) block, folded as row_max is."""
+    return _fold_columns(np.minimum, block)
 
 
 def row_products(W: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -143,6 +171,7 @@ class FeatureMap:
                 raise ValueError(f"custom intercepts {idx!r} must be distinct "
                                  f"indices in 0..{self.custom_dim - 1}")
             object.__setattr__(self, "feature_dim", self.custom_dim)
+            self._set_penalized()
             return
         if self.raw_dim < 1:
             raise ValueError("raw context dimension must be positive")
@@ -159,6 +188,13 @@ class FeatureMap:
         columns.flags.writeable = False
         object.__setattr__(self, "_columns", columns)
         object.__setattr__(self, "feature_dim", int(intercept[-1]) + 1)
+        self._set_penalized()
+
+    def _set_penalized(self) -> None:
+        mask = np.ones(self.feature_dim, dtype=bool)
+        mask[list(self.intercept_indices())] = False
+        mask.flags.writeable = False
+        object.__setattr__(self, "_penalized", mask)
 
     def featurize(self, x: np.ndarray, action: int) -> np.ndarray:
         """Embed one (context, action) pair.  Action must lie in 1..K."""
@@ -182,12 +218,17 @@ class FeatureMap:
         rows phi(x_i, a_i) or, given propensity rows P (n, K), the
         residualized rows phi(x_i, a_i) - sum_b P[i, b] phi(x_i, b).
 
-        Built-in kinds read the column table, v = [x; 1]: given P, each
-        action b in turn subtracts P[:, b] v from its columns; then each row
-        adds v on its chosen action's.  So the chosen action's columns hold
-        v - P v (two roundings, like the row formula), the others' -P v, and
-        the shared intercept 1 - (P[i, 0] + ... + P[i, K-1]) summed in that
-        order.  Custom maps go row by row through fn.
+        Built-in kinds read Z as K action blocks of width d + 1 (arm block:
+        x, then the block's intercept) or d (shared: x, with one intercept
+        column after the blocks).  Given P, one broadcast product writes
+        P[i, b] x into block b and P[i, b] (that is, P[i, b] * 1) into its
+        intercept, all of which is then subtracted from 0, and each action b
+        in turn subtracts P[:, b] from a shared intercept; then each row adds
+        x, and 1 on its intercept, to its chosen block.  So the chosen block
+        holds (0 - P v) + v with v = [x; 1] (two roundings, like the row
+        formula), the others 0 - P v, and the shared intercept
+        ((0 - P[i, 0]) - ...) - P[i, K-1] + 1, in that order.  Custom maps
+        go row by row through fn.
         """
         self._check_rows(X, A)
         n = A.shape[0]
@@ -200,15 +241,26 @@ class FeatureMap:
                     phi = self.all_actions(X[i])
                     Z[i] = phi[A[i] - 1] - P[i] @ phi
             return Z
-        d = self.raw_dim
+        d, K = self.raw_dim, self.num_actions
+        width = int(self._columns[1, 0])   # d + 1, or d before a shared intercept
+        # The in-place subtraction runs on the 2-D view: on the (n, K, width)
+        # reshape, not contiguous before a shared intercept, numpy would
+        # first copy the whole input.
+        flat = Z[:, :K * width]
+        blocks = flat.reshape(n, K, width)
         if P is not None:
-            for b, cols in enumerate(self._columns):
-                Z[:, cols[0]:cols[0] + d] -= P[:, b, None] * X
-                Z[:, cols[-1]] -= P[:, b]
-        for b, cols in enumerate(self._columns):
-            rows = A == b + 1
-            Z[rows, cols[0]:cols[0] + d] += X[rows]
-            Z[rows, cols[-1]] += 1.0
+            np.multiply(P[:, :, None], X[:, None, :], out=blocks[:, :, :d])
+            if width > d:
+                blocks[:, :, d] = P
+            np.subtract(0.0, flat, out=flat)
+            for b in range(K) if width == d else ():
+                Z[:, -1] -= P[:, b]
+        rows, chosen = np.arange(n), A - 1
+        blocks[rows, chosen, :d] += X
+        if width > d:
+            blocks[rows, chosen, d] += 1.0
+        else:
+            Z[:, -1] += 1.0
         return Z
 
     def normal_equations(self, X: np.ndarray, A: np.ndarray,
@@ -261,11 +313,9 @@ class FeatureMap:
         return tuple(sorted(set(self._columns[:, -1].tolist())))
 
     def penalized(self) -> np.ndarray:
-        """Boolean mask of the non-intercept coordinates, the ones the lasso
-        fits penalize."""
-        mask = np.ones(self.feature_dim, dtype=bool)
-        mask[list(self.intercept_indices())] = False
-        return mask
+        """Read-only boolean mask of the non-intercept coordinates, the ones
+        the lasso fits penalize, built once with the map."""
+        return self._penalized
 
     def context_coefficients(self, theta: np.ndarray, tol: float = ACTIVE_TOL) -> int:
         """Count of active (|theta_j| > tol) non-intercept coordinates."""

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import STREAM_PARAMS, rng_stream, row_products
+from .core import STREAM_PARAMS, rng_stream, row_max, row_products
 
 SCENARIOS = ("lin_lin", "lin_const", "step_lin", "perturbed", "nonstationary")
 
@@ -82,7 +82,7 @@ class Rounds:
     def expected_regrets(self, actions: np.ndarray) -> np.ndarray:
         """Mean-reward shortfalls of actions on the first len(actions) rows."""
         n = actions.shape[0]
-        return self.mean_rewards[:n].max(axis=1) - self._chosen(actions)
+        return row_max(self.mean_rewards[:n]) - self._chosen(actions)
 
 
 def _unit_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -156,7 +156,7 @@ class Environment:
         if s == "lin_lin":
             return np.zeros(X.shape[0])
         if s in ("step_lin", "perturbed"):
-            peak = (1.0 + row_products(tr.thetas, X)).max(axis=1)
+            peak = row_max(1.0 + row_products(tr.thetas, X))
             return np.where(X[:, 0] <= 0.25, 0.0, -peak)
         h = 1.0 + row_products(tr.theta[None, :], X)[:, 0]
         if s == "nonstationary":

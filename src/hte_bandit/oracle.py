@@ -41,15 +41,19 @@ SOLVE_BLOCK = 32          # diagonal block size of the triangular substitutions
 def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L L^T x = b for lower-triangular L: a forward then a back
     substitution, each a small solve per SOLVE_BLOCK diagonal block and
-    matrix-vector products for the rest."""
+    matrix-vector products for the rest.  The first forward block and the
+    last backward block have no rest, and x - 0 is x, so they skip it."""
     x = b.copy()
-    starts = range(0, b.shape[0], SOLVE_BLOCK)
+    p = b.shape[0]
+    starts = range(0, p, SOLVE_BLOCK)
     for i in starts:
         s = slice(i, i + SOLVE_BLOCK)
-        x[s] = np.linalg.solve(L[s, s], x[s] - L[s, :i] @ x[:i])
+        rhs = x[s] - L[s, :i] @ x[:i] if i else x[s]
+        x[s] = np.linalg.solve(L[s, s], rhs)
     for i in reversed(starts):
         s, e = slice(i, i + SOLVE_BLOCK), i + SOLVE_BLOCK
-        x[s] = np.linalg.solve(L[s, s].T, x[s] - L[e:, s].T @ x[e:])
+        rhs = x[s] - L[e:, s].T @ x[e:] if e < p else x[s]
+        x[s] = np.linalg.solve(L[s, s].T, rhs)
     return x
 
 
@@ -201,16 +205,18 @@ def _rloss_normal_equations(batch, feature_map):
 
 
 def _solve_ridged(gram, zy, ridge):
-    """Solve (gram + ridge I) theta = zy: the ridge goes on gram's diagonal
-    for the solve, and the diagonal is then copied back."""
+    """Solve (gram + ridge I) theta = zy: the ridge goes on gram's diagonal,
+    through one writable strided view of it, for the solve, and the
+    diagonal is then copied back."""
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    diag = gram.diagonal().copy()
-    gram[np.diag_indices_from(gram)] += ridge
+    diag = np.einsum("ii->i", gram)
+    saved = diag.copy()
+    diag += ridge
     try:
         return _solve_psd(gram, zy)
     finally:
-        gram[np.diag_indices_from(gram)] = diag
+        diag[:] = saved
 
 
 def fit_rloss(samples: Sequence[LoggedSample], feature_map: FeatureMap,

@@ -66,8 +66,8 @@ def igw_kernel(scores: np.ndarray, gamma: float | np.ndarray):
         raise ValueError("gamma must be a positive finite real")
     S = s.reshape(-1, s.shape[-1])
     n, K = S.shape
-    P = 1.0 / (K + gamma * (S.max(axis=1, keepdims=True) - S))
-    lead = S.argmax(axis=1) + np.arange(0, n * K, K)   # flat positions in P
+    lead = S.argmax(axis=1) + np.arange(0, n * K, K)   # flat positions in S and P
+    P = 1.0 / (K + gamma * (S.take(lead)[:, None] - S))
     flat = P.reshape(-1)
     flat[lead] = 0.0
     flat[lead] = 1.0 - P.sum(axis=1)

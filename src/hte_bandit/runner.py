@@ -25,7 +25,8 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .config import ConfigError, RunConfig
-from .core import STREAM_ACTION, STREAM_CONTEXT, STREAM_NOISE, rng_stream
+from .core import (STREAM_ACTION, STREAM_CONTEXT, STREAM_NOISE, rng_stream,
+                   row_max, row_min)
 from .environments import build_environment
 from .policy import FitRecord
 from .svg import Series, write_chart
@@ -129,7 +130,7 @@ def _play_block(env, policy, rngs, t0: int, n: int, res: RunResult) -> None:
         rows = slice(t0 - 1 + i, t0 - 1 + i + k)
         actions = play.actions[:k]
         S, P, gamma = play.scores[:k], play.probs[:k], play.gamma
-        K, top = S.shape[1], S.max(axis=1)
+        K, top = S.shape[1], row_max(S)
         propensity = P[np.arange(k), actions - 1]
         res.epoch[rows] = play.epoch
         res.safe[rows] = 1 if play.safe else 0
@@ -141,7 +142,7 @@ def _play_block(env, policy, rngs, t0: int, n: int, res: RunResult) -> None:
         res.max_regret_slack = max(res.max_regret_slack, float(
             ((P * (top[:, None] - S)).sum(axis=1) - K / gamma).max()))
         res.min_floor_margin = min(res.min_floor_margin, float(
-            (propensity - 1.0 / (K + gamma * (top - S.min(axis=1)))).min()))
+            (propensity - 1.0 / (K + gamma * (top - row_min(S)))).min()))
         i += k
 
 
@@ -227,8 +228,9 @@ def _experiments(configs: Sequence[RunConfig],
     configs still run.  With write, it then renames its run_*.csv.part
     files into place in seed order and writes its curve.csv and curve.svg,
     and its ExperimentResult holds no RunResult (results == []).  If
-    anything raises, every .part file of this call is removed once the pool
-    has shut down (its pending jobs run until then), so the disk holds
+    anything raises (SystemExit too, which the CLI makes of SIGTERM), the
+    pool cancels its jobs not yet started and waits for the running ones,
+    and then every .part file of this call is removed, so the disk holds
     exactly the files of every config finished before the failure.
 
     The worker count and the output directories come first: a bad
@@ -244,9 +246,9 @@ def _experiments(configs: Sequence[RunConfig],
         except OSError as e:
             raise ConfigError(f"cannot create output directory {d}: {e}") from e
     experiments = []
-    try:
-        with (ProcessPoolExecutor(max_workers=workers) if workers > 1
-              else contextlib.nullcontext()) as pool:
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        try:
             jobs = (pool.map if pool else map)(_job, cfgs, seeds, itertools.repeat(write))
             for config in configs:
                 done = [next(jobs) for _ in config.seeds]
@@ -264,10 +266,13 @@ def _experiments(configs: Sequence[RunConfig],
                             title=f"{config.scenario}: cumulative expected regret",
                             x_label="round", y_label="cumulative regret")
                 experiments.append(ExperimentResult(config, [], curve))
-    except BaseException:
-        for c, s in zip(cfgs, seeds) if write else ():
-            _part(c, s).unlink(missing_ok=True)
-        raise
+        except BaseException:
+            # No job writes once the pool has shut down.
+            if pool:
+                pool.shutdown(cancel_futures=True)
+            for c, s in zip(cfgs, seeds) if write else ():
+                _part(c, s).unlink(missing_ok=True)
+            raise
     return experiments
 
 

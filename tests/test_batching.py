@@ -99,6 +99,19 @@ def test_more_actions_match_round_by_round():
     assert len(assert_same_run(cfg, 101).fits) == 4
 
 
+@pytest.mark.parametrize("num_actions", (3, 5))
+@pytest.mark.parametrize("algorithm", ("hte_igw", "igw"))
+@pytest.mark.parametrize("scenario", ("step_lin", "perturbed"))
+def test_more_actions_on_confounded_scenarios_match_round_by_round(
+        scenario, algorithm, num_actions):
+    """Off K = 2, the block's row extremes, folded one column at a time
+    (scores, mean rewards, the confounder's peak), equal the one-row
+    driver's 1-D reductions."""
+    cfg = RunConfig(scenario=scenario, algorithm=algorithm,
+                    **{**DESK, "num_actions": num_actions, "horizon": 3000}).validate()
+    assert len(assert_same_run(cfg, 101).fits) == 4
+
+
 def test_horizon_ending_mid_epoch_matches_round_by_round():
     cfg = RunConfig(scenario="lin_lin", algorithm="hte_igw", d=5, horizon=1000,
                     schedule_kind="explicit_list",

@@ -5,6 +5,7 @@ import filecmp
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -558,6 +559,45 @@ def test_a_failed_compare_keeps_finished_algorithms_and_no_part_file(
     run_experiment(replace(cfg, algorithm="hte_igw", output_dir=str(ref)))
     for name in ("curve.csv", "curve.svg", "run_1.csv", "run_2.csv", "run_3.csv"):
         assert filecmp.cmp(out / "hte_igw" / name, ref / name, shallow=False), name
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sigterm_leaves_no_part_file_and_no_worker(tmp_path, threads):
+    """A run stopped by SIGTERM once its first .part file is on disk exits
+    with 143, and leaves no .part file, no run_*.csv and no process of its
+    session behind.  Its stderr goes to a file: a pipe would stay open as
+    long as an orphaned worker lives."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, HTE_BANDIT_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out, log = tmp_path / "out", tmp_path / "stderr.txt"
+    args = [a for kv in ("env.horizon=50000", "run.seeds=1,2,3,4,5,6,7,8,9,10,11,12",
+                         f"run.output_dir={out}") for a in ("--set", kv)]
+    with open(log, "w") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "hte_bandit.cli", "run", *args],
+                                env=env, start_new_session=True,
+                                stdout=subprocess.DEVNULL, stderr=err)
+    try:
+        deadline = time.monotonic() + 120
+        while not list(out.glob("*.part")):
+            assert proc.poll() is None, log.read_text()
+            assert time.monotonic() < deadline, "no .part file appeared"
+            time.sleep(0.005)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=120) == 143, log.read_text()
+        assert sorted(p.name for p in out.iterdir()) == []
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the run's session is left"
+            time.sleep(0.05)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def test_a_writing_job_returns_only_its_regret_column(tmp_path):
